@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence, Union
 
 from .errors import (
@@ -51,12 +51,17 @@ class DatasetRecord:
 class AnnotationCatalog:
     ontology_version: str
     datasets: tuple[DatasetRecord, ...]
+    _by_id: dict[str, DatasetRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # reversed, so that a repeated id resolves to its first record
+        object.__setattr__(self, "_by_id", {ds.id: ds for ds in reversed(self.datasets)})
 
     def dataset(self, dataset_id: str) -> DatasetRecord:
-        for record in self.datasets:
-            if record.id == dataset_id:
-                return record
-        raise UnknownDataset(dataset_id)
+        try:
+            return self._by_id[dataset_id]
+        except KeyError:
+            raise UnknownDataset(dataset_id) from None
 
     def dataset_ids(self) -> tuple[str, ...]:
         return tuple(record.id for record in self.datasets)

@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 from typing import IO, Iterator
 
@@ -52,6 +53,7 @@ from .similarity import (
     SYMMETRIZE_MEAN,
     SimilarityParams,
     pairwise_matrix,
+    sim_rm,
     sim_rm_directed,
 )
 
@@ -77,6 +79,8 @@ def _nonnegative(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -142,7 +146,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True, help="annotation catalog JSON")
     p.add_argument("--distance", action="store_true", help="emit 1 - similarity instead")
-    p.add_argument("--workers", type=_positive_int, default=1, help="row-computation threads (default 1)")
+    p.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("doss", help="dataset-to-dataset similarity")
@@ -162,7 +166,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True)
     p.add_argument("--agg", choices=tuple(AGGREGATORS), default=DEFAULT_AGGREGATOR)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_doss_matrix)
 
     p = sub.add_parser("stats", help="annotation coverage per dataset and overall")
@@ -274,7 +278,7 @@ def cmd_term_sim(args) -> int:
         raise UnknownTerm(*unknown)
     d12 = sim_rm_directed(graph, params, t1, t2)
     d21 = sim_rm_directed(graph, params, t2, t1)
-    combined = (d12 + d21) / 2.0 if params.symmetrization == SYMMETRIZE_MEAN else d12
+    combined = sim_rm(graph, params, t1, t2)
     print(f"# ontology_version: {_version(args)}")
     print(f"# alpha: {params.alpha}  beta: {params.beta}")
     print(f"theta({t1}) = {graph.theta(t1)}")
@@ -290,7 +294,7 @@ def cmd_matrix(args) -> int:
     graph, _ = _load_graph(args)
     catalog = _load_catalog(args)
     params = _params(args)
-    matrix = pairwise_matrix(graph, params, catalog_terms(catalog), workers=args.workers)
+    matrix = pairwise_matrix(graph, params, catalog_terms(catalog))
     if args.distance:
         matrix = matrix.to_distance()
     metadata = {
@@ -337,7 +341,7 @@ def cmd_doss_matrix(args) -> int:
     graph, _ = _load_graph(args)
     catalog = _load_catalog(args)
     params = _params(args)
-    matrix = doss_matrix(graph, params, catalog, args.agg, workers=args.workers)
+    matrix = doss_matrix(graph, params, catalog, args.agg)
     for dataset_id in matrix.excluded:
         print(f"excluded (no annotated terms): {dataset_id}", file=sys.stderr)
     metadata = {

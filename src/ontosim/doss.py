@@ -10,7 +10,6 @@ reverse direction is typically below 1.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Mapping, Sequence
 
@@ -18,7 +17,7 @@ from . import matrixio
 from .catalog import AnnotationCatalog, term_set
 from .errors import EmptyTermSet, UnknownTerm
 from .ontology import OntologyGraph
-from .similarity import SimilarityParams, sim_rm
+from .similarity import SimilarityParams, sim_rows
 
 AGGREGATORS: dict[str, Callable[[Sequence[float]], float]] = {
     "mean": statistics.fmean,
@@ -98,15 +97,12 @@ def doss(
         raise UnknownTerm(*unknown)
 
     matches: list[BestMatch] = []
-    for source in source_terms:
-        best_term = reference_terms[0]
-        best_sim = sim_rm(graph, params, source, best_term)
-        for candidate in reference_terms[1:]:
-            score = sim_rm(graph, params, source, candidate)
-            if score > best_sim:
-                best_sim = score
-                best_term = candidate
-        matches.append(BestMatch(source, best_term, best_sim))
+    for source, row in zip(source_terms, sim_rows(graph, params, source_terms, reference_terms)):
+        best = 0
+        for j in range(1, len(row)):
+            if row[j] > row[best]:
+                best = j
+        matches.append(BestMatch(source, reference_terms[best], row[best]))
     value = h([m.similarity for m in matches])
     return DossResult(
         value=value,
@@ -149,28 +145,39 @@ def doss_matrix(
     workers: int = 1,
 ) -> DossMatrix:
     """All ordered dataset pairs. Datasets without annotated terms are not
-    fatal here; they are left out and reported in ``excluded``."""
-    get_aggregator(aggregator)
+    fatal here; they are left out and reported in ``excluded``.
+
+    The term matrix over the catalog's distinct terms is computed once; each
+    cell aggregates the source terms' maxima over the reference's columns,
+    the same values :func:`doss` gives. ``workers`` is accepted for
+    compatibility and has no effect.
+    """
+    h = get_aggregator(aggregator)
     included: list[str] = []
     excluded: list[str] = []
+    term_lists: list[list[str]] = []
     for ds in catalog.datasets:
-        (included if term_set(catalog, ds.id) else excluded).append(ds.id)
-    all_terms = sorted({t for d in included for t in term_set(catalog, d)})
+        terms = sorted(term_set(catalog, ds.id))
+        if terms:
+            included.append(ds.id)
+            term_lists.append(terms)
+        else:
+            excluded.append(ds.id)
+    all_terms = sorted({t for terms in term_lists for t in terms})
     unknown = [t for t in all_terms if t not in graph]
     if unknown:
         raise UnknownTerm(*unknown)
 
-    def row(i: int) -> tuple[float, ...]:
-        return tuple(
-            doss(graph, params, catalog, included[i], reference, aggregator).value
-            for reference in included
+    position = {term: i for i, term in enumerate(all_terms)}
+    term_matrix = sim_rows(graph, params, all_terms, all_terms)
+    indexes = [[position[t] for t in terms] for terms in term_lists]
+    values = tuple(
+        tuple(
+            h([max([term_matrix[s][r] for r in reference]) for s in source])
+            for reference in indexes
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(row, range(len(included))))
-    else:
-        values = tuple(row(i) for i in range(len(included)))
+        for source in indexes
+    )
     return DossMatrix(tuple(included), values, aggregator, params.symmetrization, tuple(excluded))
 
 

@@ -150,13 +150,23 @@ class OntologyGraph:
                 byte &= byte - 1
         return frozenset(out)
 
+    def masks(self, terms: Iterable[TermId]) -> list[int]:
+        """Ancestor-closure bitmasks of the given terms, in order.
+
+        Masks of one graph share bit positions, so ``m.bit_count()`` is theta
+        and ``(m1 & m2).bit_count()`` is psi. Raises UnknownTerm for the
+        first term the graph does not contain.
+        """
+        return [self._mask(self._node(term)) for term in terms]
+
     def theta(self, term: TermId) -> int:
         """Size of the ancestor set; at least 1 because the set contains the term."""
-        return self._mask(self._node(term)).bit_count()
+        return self.masks((term,))[0].bit_count()
 
     def psi(self, t1: TermId, t2: TermId) -> int:
         """Number of ancestors the two terms share. Symmetric by construction."""
-        return (self._mask(self._node(t1)) & self._mask(self._node(t2))).bit_count()
+        m1, m2 = self.masks((t1, t2))
+        return (m1 & m2).bit_count()
 
 
 def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) -> OntologyGraph:

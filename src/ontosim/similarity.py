@@ -14,9 +14,9 @@ selectable as the "as-printed" policy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+import math
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Mapping, Sequence
 
 from . import matrixio
 from .errors import EmptyTermList, UnknownTerm
@@ -36,6 +36,8 @@ class SimilarityParams:
     symmetrization: str = SYMMETRIZE_MEAN
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.symmetrization not in SYMMETRIZATIONS:
@@ -44,19 +46,53 @@ class SimilarityParams:
             )
 
 
+def sim_rows(
+    graph: OntologyGraph,
+    params: SimilarityParams,
+    rows: Sequence[TermId],
+    cols: Sequence[TermId],
+) -> list[tuple[float, ...]]:
+    """Scores of every row term against every column term under the
+    configured policy: one tuple per row, in column order.
+
+    This is the only place the ratio is evaluated. Each term's closure mask
+    and theta are read once and each pair's psi is computed once; under
+    mean-of-directions both directions come from that one (theta1, theta2,
+    psi) triple. Raises UnknownTerm for the first unknown row or column term.
+    """
+    alpha, beta = params.alpha, params.beta
+    mean = params.symmetrization == SYMMETRIZE_MEAN
+
+    def ratio(theta1: int, theta2: int, psi: int) -> float:
+        return theta1 / (alpha * (theta1 - psi) + beta * (theta2 - psi) + theta1)
+
+    row_masks = graph.masks(rows)
+    col_masks = graph.masks(cols)
+    col_thetas = [mask.bit_count() for mask in col_masks]
+    out = []
+    for mask1 in row_masks:
+        theta1 = mask1.bit_count()
+        row = []
+        for mask2, theta2 in zip(col_masks, col_thetas):
+            psi = (mask1 & mask2).bit_count()
+            score = ratio(theta1, theta2, psi)
+            if mean:
+                score = (score + ratio(theta2, theta1, psi)) / 2.0
+            row.append(score)
+        out.append(tuple(row))
+    return out
+
+
 def sim_rm_directed(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
-    theta1 = graph.theta(t1)
-    theta2 = graph.theta(t2)
-    shared = graph.psi(t1, t2)
-    denom = params.alpha * (theta1 - shared) + params.beta * (theta2 - shared) + theta1
-    return theta1 / denom
+    """The raw directed score of t1 towards t2, whatever the policy."""
+    if params.symmetrization != SYMMETRIZE_AS_PRINTED:
+        params = replace(params, symmetrization=SYMMETRIZE_AS_PRINTED)
+    return sim_rows(graph, params, (t1,), (t2,))[0][0]
 
 
 def sim_rm(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
     """Similarity under the configured policy; symmetric under mean-of-directions."""
-    if params.symmetrization == SYMMETRIZE_AS_PRINTED:
-        return sim_rm_directed(graph, params, t1, t2)
-    return (sim_rm_directed(graph, params, t1, t2) + sim_rm_directed(graph, params, t2, t1)) / 2.0
+    return sim_rows(graph, params, (t1,), (t2,))[0][0]
 
 
 def distance(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
@@ -97,9 +133,9 @@ def pairwise_matrix(
 ) -> SimilarityMatrix:
     """All-pairs similarity over the given terms.
 
-    Duplicates collapse to their first occurrence. Rows may be computed by a
-    thread pool; results are assembled by row index, so the output is
-    identical for any worker count.
+    Duplicates collapse to their first occurrence. ``workers`` is accepted
+    for compatibility and has no effect: the kernel is pure Python, so
+    threads could not run it in parallel.
     """
     ordered = list(dict.fromkeys(terms))
     if not ordered:
@@ -107,17 +143,7 @@ def pairwise_matrix(
     unknown = [t for t in ordered if t not in graph]
     if unknown:
         raise UnknownTerm(*unknown)
-
-    def row(i: int) -> tuple[float, ...]:
-        t1 = ordered[i]
-        return tuple(sim_rm(graph, params, t1, t2) for t2 in ordered)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(row, range(len(ordered))))
-    else:
-        values = tuple(row(i) for i in range(len(ordered)))
-    return SimilarityMatrix(tuple(ordered), values)
+    return SimilarityMatrix(tuple(ordered), tuple(sim_rows(graph, params, ordered, ordered)))
 
 
 def nearest_terms(
@@ -134,6 +160,6 @@ def nearest_terms(
     unknown = [t for t in dict.fromkeys([query, *pool]) if t not in graph]
     if unknown:
         raise UnknownTerm(*unknown)
-    scored = [(term, sim_rm(graph, params, query, term)) for term in pool]
+    scored = list(zip(pool, sim_rows(graph, params, (query,), pool)[0]))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

@@ -12,6 +12,8 @@ checked at fixture-exactness.
 
 import io
 import random
+import resource
+import sys
 import time
 
 import pytest
@@ -243,11 +245,22 @@ def test_catalog_statistics_fixture_exactness(capsys):
     _ok("catalog-statistics (fixture exactness)")
 
 
+def _rss_gib() -> float:
+    """Current RSS from psutil when installed; otherwise the process's peak
+    RSS from getrusage, which is never below it, so the check is stricter."""
+    try:
+        import psutil
+    except ImportError:
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        unit = 1 if sys.platform == "darwin" else 1024
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**30
+    return psutil.Process().memory_info().rss / 2**30
+
+
 def test_scale_350k_terms_under_5_seconds_and_2_gb():
     """Building closures for 216 query terms on a 350,000-term DAG plus the
     216x216 similarity matrix must finish in under 5 seconds and stay under
     2 GB of resident memory."""
-    psutil = pytest.importorskip("psutil")
     rng = random.Random(987654321)
     n = 350_000
     ids = [f"c{i}" for i in range(n)]
@@ -269,7 +282,7 @@ def test_scale_350k_terms_under_5_seconds_and_2_gb():
 
     assert len(matrix.terms) == 216
     assert all(matrix.values[i][i] == 1.0 for i in range(216))
-    rss_gb = psutil.Process().memory_info().rss / 2**30
+    rss_gb = _rss_gib()
     assert elapsed < 5.0, f"{elapsed:.2f}s"
     assert rss_gb < 2.0, f"{rss_gb:.2f} GiB"
     _ok(f"scale-350k ({elapsed:.2f}s, {rss_gb:.2f} GiB)")

@@ -382,6 +382,14 @@ class TestUsageErrors:
             main(["term-sim", "a", "b", "--ontology-edges", TOY_EDGES_PATH, "--alpha", "-1"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, flag, value])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
 
 class TestOntologyVersionEcho:
     def test_flag_overrides_catalog(self, capsys):

@@ -205,12 +205,16 @@ class TestDossMatrix:
         assert pairs > 0
         assert up / pairs > down / pairs
 
-    def test_value_agrees_with_scalar_doss(self, toy_graph, default_params, toy_catalog):
-        m = doss_matrix(toy_graph, default_params, toy_catalog)
-        for i, src in enumerate(m.dataset_ids):
-            for j, ref in enumerate(m.dataset_ids):
-                expected = doss(toy_graph, default_params, toy_catalog, src, ref).value
-                assert m.values[i][j] == expected
+    def test_value_agrees_with_scalar_doss(
+        self, toy_graph, default_params, toy_catalog, healthcare_graph, healthcare_catalog
+    ):
+        for graph, catalog in ((toy_graph, toy_catalog), (healthcare_graph, healthcare_catalog)):
+            for aggregator in AGGREGATORS:
+                m = doss_matrix(graph, default_params, catalog, aggregator)
+                for i, src in enumerate(m.dataset_ids):
+                    for j, ref in enumerate(m.dataset_ids):
+                        expected = doss(graph, default_params, catalog, src, ref, aggregator).value
+                        assert m.values[i][j] == expected
 
 
 class TestCorrelationTendency:

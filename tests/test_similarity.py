@@ -1,6 +1,7 @@
 """Ratio-model similarity: directed form, symmetrization, matrices, ranking."""
 
 import io
+import math
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from ontosim import (
     SimilarityParams,
     UnknownTerm,
     build_ontology,
+    catalog_terms,
     distance,
     nearest_terms,
     pairwise_matrix,
     sim_rm,
     sim_rm_directed,
+    sim_rows,
 )
 from conftest import (
     SIM_A_TO_B,
@@ -98,6 +101,13 @@ class TestDirectedForm:
             SimilarityParams(beta=-0.5)
         with pytest.raises(ValueError):
             SimilarityParams(symmetrization="bogus")
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError):
+            SimilarityParams(alpha=weight)
+        with pytest.raises(ValueError):
+            SimilarityParams(beta=weight)
 
     def test_unknown_term(self, toy_graph, default_params):
         with pytest.raises(UnknownTerm):
@@ -188,6 +198,31 @@ class TestPairwiseMatrix:
         payload = pairwise_matrix(toy_graph, default_params, ["a", "b"]).to_json_dict()
         assert payload["terms"] == ["a", "b"]
         assert len(payload["values"]) == 2
+
+
+class TestKernel:
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    @pytest.mark.parametrize("alpha, beta", [(7.9, 3.9), (0.0, 0.0), (1.0, 1.0), (2.5, 0.0)])
+    def test_rows_equal_printed_formula(self, healthcare_graph, healthcare_catalog, policy, alpha, beta):
+        params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
+        terms = catalog_terms(healthcare_catalog)
+        cols = terms[::-1]  # a different order, so swapped indexes cannot pass
+        assert len(terms) == 216
+        ancestors = {t: healthcare_graph.ancestors(t) for t in terms}
+
+        def directed(t1, t2):
+            a1, a2 = ancestors[t1], ancestors[t2]
+            shared = len(a1 & a2)
+            return len(a1) / (alpha * (len(a1) - shared) + beta * (len(a2) - shared) + len(a1))
+
+        rows = sim_rows(healthcare_graph, params, terms, cols)
+        assert len(rows) == len(terms)
+        for t1, row in zip(terms, rows):
+            if policy == "as-printed":
+                expected = tuple(directed(t1, t2) for t2 in cols)
+            else:
+                expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
+            assert row == expected
 
 
 class TestNearestTerms:
