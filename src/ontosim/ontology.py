@@ -2,10 +2,10 @@
 
 A graph is immutable once built. Ancestor sets ("a term plus everything
 reachable through child -> parent edges") are computed lazily per requested
-term and memoised as integer bitmasks over a compacted index that only
-contains terms seen in some requested closure. Query workloads typically
-touch a few hundred terms of a several-hundred-thousand-term ontology, so
-this keeps memory proportional to the queried subgraph.
+term and memoised as tuples of node indexes, so memory grows linearly with
+the summed ancestor-set sizes of the queried terms, whatever the size of the
+ontology. Callers that compare many pairs (the similarity kernel) pack the
+tuples into bitmasks of their own, as narrow as the call needs.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class OntologyGraph:
         "_synonyms",
         "_edge_count",
         "_lock",
-        "_bit_of",
-        "_term_at",
         "_masks",
     )
 
@@ -48,11 +46,10 @@ class OntologyGraph:
         self._labels: dict[int, str] = labels
         self._synonyms: dict[int, tuple[str, ...]] = synonyms
         self._edge_count: int = edge_count
-        # closure cache; see _mask()
+        # closure cache; see _closure(). The name is not "_closures" because
+        # the benchmark's tracer counts memoised closures as len(graph._masks).
         self._lock = threading.Lock()
-        self._bit_of: dict[int, int] = {}
-        self._term_at: list[int] = []
-        self._masks: dict[int, int] = {}
+        self._masks: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -95,21 +92,19 @@ class OntologyGraph:
             out.setdefault(self._ids[node], (None, syns))
         return out
 
-    def _mask(self, node: int) -> int:
-        """Bitmask of the node's ancestor closure (the node itself included).
+    def _closure(self, node: int) -> tuple[int, ...]:
+        """Node indexes of the node's ancestor closure (the node included).
 
-        Bit positions are assigned on first use and never change, so masks
-        built at different times remain comparable. The lock serialises
-        closure construction; concurrent readers of an already-memoised mask
-        never block.
+        The lock serialises closure construction; concurrent readers of an
+        already-memoised closure never block.
         """
-        mask = self._masks.get(node)
-        if mask is not None:
-            return mask
+        closure = self._masks.get(node)
+        if closure is not None:
+            return closure
         with self._lock:
-            mask = self._masks.get(node)
-            if mask is not None:
-                return mask
+            closure = self._masks.get(node)
+            if closure is not None:
+                return closure
             parents = self._parents
             seen = {node}
             stack = [node]
@@ -118,55 +113,32 @@ class OntologyGraph:
                     if parent not in seen:
                         seen.add(parent)
                         stack.append(parent)
-            bit_of = self._bit_of
-            term_at = self._term_at
-            positions = []
-            for idx in seen:
-                bit = bit_of.get(idx)
-                if bit is None:
-                    bit = len(term_at)
-                    bit_of[idx] = bit
-                    term_at.append(idx)
-                positions.append(bit)
-            buf = bytearray(max(positions) // 8 + 1)
-            for bit in positions:
-                buf[bit >> 3] |= 1 << (bit & 7)
-            mask = int.from_bytes(buf, "little")
-            self._masks[node] = mask
-            return mask
+            closure = self._masks[node] = tuple(seen)
+            return closure
 
     def ancestors(self, term: TermId) -> frozenset[TermId]:
         """The term together with every term reachable along is-a edges."""
-        mask = self._mask(self._node(term))
         ids = self._ids
-        term_at = self._term_at
-        out = []
-        width = (mask.bit_length() + 7) // 8
-        for byte_index, byte in enumerate(mask.to_bytes(width, "little")):
-            base = byte_index << 3
-            while byte:
-                low = byte & -byte
-                out.append(ids[term_at[base + low.bit_length() - 1]])
-                byte &= byte - 1
-        return frozenset(out)
+        return frozenset(ids[node] for node in self._closure(self._node(term)))
 
-    def masks(self, terms: Iterable[TermId]) -> list[int]:
-        """Ancestor-closure bitmasks of the given terms, in order.
+    def closures(self, terms: Iterable[TermId]) -> list[tuple[int, ...]]:
+        """Ancestor closures of the given terms as tuples of node indexes,
+        in order.
 
-        Masks of one graph share bit positions, so ``m.bit_count()`` is theta
-        and ``(m1 & m2).bit_count()`` is psi. Raises UnknownTerm for the
+        Indexes of one graph are comparable, so ``len(c)`` is theta and
+        ``len(set(c1).intersection(c2))`` is psi. Raises UnknownTerm for the
         first term the graph does not contain.
         """
-        return [self._mask(self._node(term)) for term in terms]
+        return [self._closure(self._node(term)) for term in terms]
 
     def theta(self, term: TermId) -> int:
         """Size of the ancestor set; at least 1 because the set contains the term."""
-        return self.masks((term,))[0].bit_count()
+        return len(self.closures((term,))[0])
 
     def psi(self, t1: TermId, t2: TermId) -> int:
         """Number of ancestors the two terms share. Symmetric by construction."""
-        m1, m2 = self.masks((t1, t2))
-        return (m1 & m2).bit_count()
+        c1, c2 = self.closures((t1, t2))
+        return len(set(c1).intersection(c2))
 
 
 def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) -> OntologyGraph:

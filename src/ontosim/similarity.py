@@ -14,8 +14,10 @@ selectable as the "as-printed" policy.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 from . import matrixio
@@ -55,8 +57,8 @@ def sim_rows(
     """Scores of every row term against every column term under the
     configured policy: one tuple per row, in column order.
 
-    This is the only place the ratio is evaluated. Each term's closure mask
-    and theta are read once and each pair's psi is computed once; under
+    This is the only place the ratio is evaluated. Each term's closure and
+    theta are read once and each pair's psi is computed once; under
     mean-of-directions both directions come from that one (theta1, theta2,
     psi) triple. Raises UnknownTerm for the first unknown row or column term.
     """
@@ -66,14 +68,32 @@ def sim_rows(
     def ratio(theta1: int, theta2: int, psi: int) -> float:
         return theta1 / (alpha * (theta1 - psi) + beta * (theta2 - psi) + theta1)
 
-    row_masks = graph.masks(rows)
-    col_masks = graph.masks(cols)
-    col_thetas = [mask.bit_count() for mask in col_masks]
+    # A square mean-of-directions matrix is symmetric and float + commutes,
+    # so the lower triangle is copied from the upper one bit for bit.
+    square = mean and list(rows) == list(cols)
+    row_closures = graph.closures(rows)
+    col_closures = row_closures if square else graph.closures(cols)
+    # Bits go only to nodes of some row closure: psi never counts any other
+    # node, so projecting every closure onto them is exact and keeps the
+    # masks as narrow as this call allows.
+    universe = dict.fromkeys(chain.from_iterable(row_closures))
+    bit_of = {node: 1 << bit for bit, node in enumerate(universe)}.get
+
+    def project(closure: tuple[int, ...]) -> int:
+        mask = 0
+        for node in closure:
+            mask |= bit_of(node, 0)
+        return mask
+
+    row_masks = [project(closure) for closure in row_closures]
+    col_masks = row_masks if square else [project(closure) for closure in col_closures]
+    col_thetas = [len(closure) for closure in col_closures]
     out = []
-    for mask1 in row_masks:
-        theta1 = mask1.bit_count()
-        row = []
-        for mask2, theta2 in zip(col_masks, col_thetas):
+    for i, (mask1, closure1) in enumerate(zip(row_masks, row_closures)):
+        theta1 = len(closure1)
+        done = i if square else 0
+        row = [out[j][i] for j in range(done)]
+        for mask2, theta2 in zip(col_masks[done:], col_thetas[done:]):
             psi = (mask1 & mask2).bit_count()
             score = ratio(theta1, theta2, psi)
             if mean:
@@ -156,10 +176,11 @@ def nearest_terms(
     """Top-k candidates by similarity to the query, ties broken by ascending id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = sorted(set(candidates))
-    unknown = [t for t in dict.fromkeys([query, *pool]) if t not in graph]
-    if unknown:
-        raise UnknownTerm(*unknown)
-    scored = list(zip(pool, sim_rows(graph, params, (query,), pool)[0]))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    pool = list(set(candidates))
+    try:
+        scores = sim_rows(graph, params, (query,), pool)[0]
+    except UnknownTerm:
+        unknown = [t for t in dict.fromkeys([query, *sorted(pool)]) if t not in graph]
+        raise UnknownTerm(*unknown) from None
+    # (-score, id) is a total order, so the pool's own order does not matter
+    return heapq.nsmallest(k, zip(pool, scores), key=lambda pair: (-pair[1], pair[0]))

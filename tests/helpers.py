@@ -2,7 +2,8 @@
 
 DfsOracle recomputes ancestor sets from the raw edge list with a fresh DFS on
 every query. It shares no code with the production closure (which memoises
-bitmasks), so agreement between the two is meaningful evidence.
+tuples of node indexes and packs them into bitmasks per kernel call), so
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations

@@ -206,23 +206,30 @@ class TestKernel:
     def test_rows_equal_printed_formula(self, healthcare_graph, healthcare_catalog, policy, alpha, beta):
         params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
         terms = catalog_terms(healthcare_catalog)
-        cols = terms[::-1]  # a different order, so swapped indexes cannot pass
         assert len(terms) == 216
         ancestors = {t: healthcare_graph.ancestors(t) for t in terms}
+        # the first rows' closures cover fewer nodes than the columns' do
+        assert set().union(*(ancestors[t] for t in terms[:9])) < set().union(*ancestors.values())
+        shapes = [
+            (terms, terms[::-1]),  # a different order, so swapped indexes cannot pass
+            (terms, terms),  # square: mean-of-directions mirrors one triangle
+            (terms[:9], terms[::-1]),  # columns projected onto the rows' smaller bit universe
+        ]
 
         def directed(t1, t2):
             a1, a2 = ancestors[t1], ancestors[t2]
             shared = len(a1 & a2)
             return len(a1) / (alpha * (len(a1) - shared) + beta * (len(a2) - shared) + len(a1))
 
-        rows = sim_rows(healthcare_graph, params, terms, cols)
-        assert len(rows) == len(terms)
-        for t1, row in zip(terms, rows):
-            if policy == "as-printed":
-                expected = tuple(directed(t1, t2) for t2 in cols)
-            else:
-                expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
-            assert row == expected
+        for rows, cols in shapes:
+            got = sim_rows(healthcare_graph, params, rows, cols)
+            assert len(got) == len(rows)
+            for t1, row in zip(rows, got):
+                if policy == "as-printed":
+                    expected = tuple(directed(t1, t2) for t2 in cols)
+                else:
+                    expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
+                assert row == expected
 
 
 class TestNearestTerms:
@@ -249,3 +256,12 @@ class TestNearestTerms:
     def test_k_must_be_positive(self, toy_graph, default_params):
         with pytest.raises(ValueError):
             nearest_terms(toy_graph, default_params, "c", {"a"}, 0)
+
+    def test_unknown_terms_reported_exhaustively(self, toy_graph, default_params):
+        # the query first, then the unknown candidates in ascending order
+        with pytest.raises(UnknownTerm) as exc:
+            nearest_terms(toy_graph, default_params, "zq", {"b", "q2", "q1"}, 2)
+        assert exc.value.term_ids == ("zq", "q1", "q2")
+        with pytest.raises(UnknownTerm) as exc:
+            nearest_terms(toy_graph, default_params, "b", {"q4", "a", "q2", "b", "q3", "q1"}, 2)
+        assert exc.value.term_ids == ("q1", "q2", "q3", "q4")
