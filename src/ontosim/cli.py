@@ -214,22 +214,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def _load_graph(args) -> tuple[OntologyGraph, ParseReport]:
     if args.ontology_edges:
-        with open(args.ontology_edges, encoding="utf-8") as fh:
+        with open(args.ontology_edges, encoding="utf-8-sig") as fh:
             term_ids, edges, report = parse_edge_list(fh)
         terms: list = term_ids
         if args.labels:
-            with open(args.labels, encoding="utf-8") as fh:
+            with open(args.labels, encoding="utf-8-sig") as fh:
                 labels, label_report = parse_labels(fh)
             report.warnings.extend(label_report.warnings)
             terms = [(t, *labels[t]) if t in labels else t for t in term_ids]
     else:
-        with open(args.ontology_obo, encoding="utf-8") as fh:
+        with open(args.ontology_obo, encoding="utf-8-sig") as fh:
             terms, edges, report = parse_obo_subset(fh)
     return build_ontology(terms, edges), report
 
 
 def _load_catalog(args) -> AnnotationCatalog:
-    with open(args.catalog, encoding="utf-8") as fh:
+    with open(args.catalog, encoding="utf-8-sig") as fh:
         return load_catalog(fh)
 
 
@@ -438,7 +438,7 @@ def cmd_terms(args) -> int:
 
 def cmd_search(args) -> int:
     if args.labels:
-        with open(args.labels, encoding="utf-8") as fh:
+        with open(args.labels, encoding="utf-8-sig") as fh:
             labels, report = parse_labels(fh)
         _print_warnings(report)
     elif args.ontology_obo:

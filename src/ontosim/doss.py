@@ -171,12 +171,10 @@ def doss_matrix(
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)
     indexes = [[position[t] for t in terms] for terms in term_lists]
+    # best[j][s]: the best score of term s against reference j, taken once
+    best = [[max([row[r] for r in reference]) for row in term_matrix] for reference in indexes]
     values = tuple(
-        tuple(
-            h([max([term_matrix[s][r] for r in reference]) for s in source])
-            for reference in indexes
-        )
-        for source in indexes
+        tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes
     )
     return DossMatrix(tuple(included), values, aggregator, params.symmetrization, tuple(excluded))
 

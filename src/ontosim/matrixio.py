@@ -17,7 +17,6 @@ def write_matrix_csv(
     labels: Sequence[str],
     values: Sequence[Sequence[float]],
     metadata: Mapping[str, object] | None = None,
-    precision: int = 6,
 ) -> None:
     if metadata:
         for key, value in metadata.items():
@@ -25,7 +24,7 @@ def write_matrix_csv(
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["", *labels])
     for label, row in zip(labels, values):
-        writer.writerow([label, *(f"{cell:.{precision}f}" for cell in row)])
+        writer.writerow([label, *(f"{cell:.6f}" for cell in row)])
 
 
 def read_matrix_csv(lines: Iterable[str]) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:

@@ -2,10 +2,11 @@
 
 A graph is immutable once built. Ancestor sets ("a term plus everything
 reachable through child -> parent edges") are computed lazily per requested
-term and memoised as tuples of node indexes, so memory grows linearly with
-the summed ancestor-set sizes of the queried terms, whatever the size of the
-ontology. Callers that compare many pairs (the similarity kernel) pack the
-tuples into bitmasks of their own, as narrow as the call needs.
+term and memoised, keyed by term id, as tuples of node indexes, so memory
+grows linearly with the summed ancestor-set sizes of the queried terms,
+whatever the size of the ontology. Callers that compare many pairs (the
+similarity kernel) pack the tuples into bitmasks of their own, as narrow as
+the call needs.
 """
 
 from __future__ import annotations
@@ -39,17 +40,18 @@ class OntologyGraph:
         "_masks",
     )
 
-    def __init__(self, ids, parents, labels, synonyms, edge_count):
+    def __init__(self, ids, index, parents, labels, synonyms, edge_count):
         self._ids: tuple[str, ...] = ids
-        self._index: dict[str, int] = {term: i for i, term in enumerate(ids)}
+        self._index: dict[str, int] = index
         self._parents: tuple[tuple[int, ...], ...] = parents
         self._labels: dict[int, str] = labels
         self._synonyms: dict[int, tuple[str, ...]] = synonyms
         self._edge_count: int = edge_count
-        # closure cache; see _closure(). The name is not "_closures" because
-        # the benchmark's tracer counts memoised closures as len(graph._masks).
+        # closure cache keyed by term id; see _closure(). The name is not
+        # "_closures" because the benchmark's tracer counts memoised closures
+        # as len(graph._masks).
         self._lock = threading.Lock()
-        self._masks: dict[int, tuple[int, ...]] = {}
+        self._masks: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -92,17 +94,15 @@ class OntologyGraph:
             out.setdefault(self._ids[node], (None, syns))
         return out
 
-    def _closure(self, node: int) -> tuple[int, ...]:
-        """Node indexes of the node's ancestor closure (the node included).
+    def _closure(self, term: TermId) -> tuple[int, ...]:
+        """Node indexes of the term's ancestor closure (the term included).
 
         The lock serialises closure construction; concurrent readers of an
         already-memoised closure never block.
         """
-        closure = self._masks.get(node)
-        if closure is not None:
-            return closure
+        node = self._node(term)
         with self._lock:
-            closure = self._masks.get(node)
+            closure = self._masks.get(term)
             if closure is not None:
                 return closure
             parents = self._parents
@@ -113,13 +113,13 @@ class OntologyGraph:
                     if parent not in seen:
                         seen.add(parent)
                         stack.append(parent)
-            closure = self._masks[node] = tuple(seen)
+            closure = self._masks[term] = tuple(seen)
             return closure
 
     def ancestors(self, term: TermId) -> frozenset[TermId]:
         """The term together with every term reachable along is-a edges."""
         ids = self._ids
-        return frozenset(ids[node] for node in self._closure(self._node(term)))
+        return frozenset(ids[node] for node in self.closures((term,))[0])
 
     def closures(self, terms: Iterable[TermId]) -> list[tuple[int, ...]]:
         """Ancestor closures of the given terms as tuples of node indexes,
@@ -129,7 +129,9 @@ class OntologyGraph:
         ``len(set(c1).intersection(c2))`` is psi. Raises UnknownTerm for the
         first term the graph does not contain.
         """
-        return [self._closure(self._node(term)) for term in terms]
+        memo = self._masks.get
+        # a closure always holds its own term, so only a miss is falsy
+        return [memo(term) or self._closure(term) for term in terms]
 
     def theta(self, term: TermId) -> int:
         """Size of the ancestor set; at least 1 because the set contains the term."""
@@ -174,9 +176,7 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
             synonyms[node] = syns
 
     parents: list[list[int]] = [[] for _ in ids]
-    seen_edges: set[tuple[int, int]] = set()
     dangling: dict[str, None] = {}
-    edge_count = 0
     for child, parent in edges:
         child_node = index.get(child)
         parent_node = index.get(parent)
@@ -186,26 +186,19 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
             dangling.setdefault(parent)
         if child_node is None or parent_node is None:
             continue
-        key = (child_node, parent_node)
-        if key in seen_edges:
-            continue
-        seen_edges.add(key)
         parents[child_node].append(parent_node)
-        edge_count += 1
     if dangling:
         raise DanglingEdgeEndpoint(dangling)
 
-    _ensure_acyclic(ids, parents)
+    # dict.fromkeys drops repeated edges and keeps first-occurrence order
+    frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
+    _ensure_acyclic(ids, frozen)
     return OntologyGraph(
-        tuple(ids),
-        tuple(tuple(p) for p in parents),
-        labels,
-        synonyms,
-        edge_count,
+        tuple(ids), index, frozen, labels, synonyms, sum(map(len, frozen))
     )
 
 
-def _ensure_acyclic(ids: list[str], parents: list[list[int]]) -> None:
+def _ensure_acyclic(ids: list[str], parents: Sequence[Sequence[int]]) -> None:
     """Iterative three-colour DFS over child -> parent edges; recursion-free
     so arbitrarily deep chains cannot overflow the interpreter stack."""
     WHITE, GRAY, BLACK = 0, 1, 2

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ontosim.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, TOY_EDGES
 
 TOY_EDGES_PATH = str(FIXTURES / "toy_edges.tsv")
 TOY_LABELS_PATH = str(FIXTURES / "toy_labels.tsv")
@@ -404,3 +404,23 @@ class TestOntologyVersionEcho:
             capsys, "search", "gender", "--labels", TOY_LABELS_PATH,
         )
         assert out.splitlines()[0].split("\t")[0] == "c"
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            # the BOM used to stick to the first id: theta(a) read 1, exit 0
+            (["term-sim", "a", "b"], "--ontology-edges", "".join(f"{c}\t{p}\n" for c, p in TOY_EDGES)),
+            (["stats"], "--catalog", (FIXTURES / "toy_catalog.json").read_text(encoding="utf-8")),
+        ],
+        ids=["edge-list", "catalog"],
+    )
+    def test_utf8_bom_reads_like_plain_utf8(self, capsys, tmp_path, argv, flag, text):
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, *argv, flag, str(plain))
+        assert expected[0] == 0
+        assert run(capsys, *argv, flag, str(bom)) == expected

@@ -53,6 +53,9 @@ class TestBuildValidation:
     def test_duplicate_edges_dropped_silently(self):
         g = build_ontology(["r", "a"], [("a", "r"), ("a", "r"), ("a", "r")])
         assert g.edge_count == 1
+        g = build_ontology(["s", "r", "a"], [("a", "r"), ("a", "s"), ("a", "r")])
+        assert g.parents("a") == ("r", "s")
+        assert g.edge_count == 2
 
     def test_accepts_every_random_dag(self):
         rng = random.Random(101)
@@ -117,6 +120,12 @@ class TestAncestorQueries:
             g.ancestors("nope")
         with pytest.raises(UnknownTerm):
             g.psi("b", "nope")
+        g.closures(["b"])
+        memo = dict(g._masks)
+        with pytest.raises(UnknownTerm) as info:
+            g.closures(["b", "nope"])
+        assert info.value.term_ids == ("nope",)
+        assert g._masks == memo
 
 
 class TestClosureProperties:
