@@ -273,9 +273,6 @@ def cmd_term_sim(args) -> int:
     graph, _ = _load_graph(args)
     params = _params(args)
     t1, t2 = args.term1, args.term2
-    unknown = [t for t in dict.fromkeys((t1, t2)) if t not in graph]
-    if unknown:
-        raise UnknownTerm(*unknown)
     d12 = sim_rm_directed(graph, params, t1, t2)
     d21 = sim_rm_directed(graph, params, t2, t1)
     combined = sim_rm(graph, params, t1, t2)
@@ -322,7 +319,7 @@ def cmd_doss(args) -> int:
     result = doss(graph, params, catalog, args.dataset1, args.dataset2, args.agg)
     if args.format == "json":
         payload = result.to_json_dict()
-        payload["ontology_version"] = _version(args, catalog)
+        payload.update(ontology_version=_version(args, catalog), alpha=params.alpha, beta=params.beta)
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_OK
@@ -354,7 +351,7 @@ def cmd_doss_matrix(args) -> int:
     with _out_stream(args.out) as fh:
         if args.format == "json":
             payload = matrix.to_json_dict()
-            payload["ontology_version"] = metadata["ontology_version"]
+            payload.update(ontology_version=metadata["ontology_version"], alpha=params.alpha, beta=params.beta)
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
@@ -365,7 +362,7 @@ def cmd_doss_matrix(args) -> int:
 def cmd_stats(args) -> int:
     catalog = _load_catalog(args)
     stats = coverage_stats(catalog)
-    by_id = {ds.id: ds for ds in catalog.datasets}
+    rows = [(catalog.dataset(row.dataset_id), row) for row in stats.per_dataset]
     with _out_stream(args.out) as fh:
         if args.format == "json":
             payload = {
@@ -373,14 +370,14 @@ def cmd_stats(args) -> int:
                 "datasets": [
                     {
                         "id": row.dataset_id,
-                        "name": by_id[row.dataset_id].name,
-                        "origin": list(by_id[row.dataset_id].origin),
-                        "category": by_id[row.dataset_id].category,
+                        "name": ds.name,
+                        "origin": list(ds.origin),
+                        "category": ds.category,
                         "feature_count": row.feature_count,
                         "annotated_count": row.annotated_count,
                         "coverage": round(row.coverage_fraction, 6),
                     }
-                    for row in stats.per_dataset
+                    for ds, row in rows
                 ],
                 "global": {
                     "distinct_feature_names": stats.distinct_feature_name_count,
@@ -394,8 +391,7 @@ def cmd_stats(args) -> int:
             fh.write(f"# ontology_version: {_version(args, catalog)}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"])
-            for row in stats.per_dataset:
-                ds = by_id[row.dataset_id]
+            for ds, row in rows:
                 writer.writerow(
                     [ds.id, ds.name, ",".join(ds.origin), ds.category,
                      row.feature_count, row.annotated_count, f"{row.coverage_fraction:.6f}"]

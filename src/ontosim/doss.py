@@ -15,7 +15,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 from . import matrixio
 from .catalog import AnnotationCatalog, term_set
-from .errors import EmptyTermSet, UnknownTerm
+from .errors import EmptyTermSet
 from .ontology import OntologyGraph
 from .similarity import SimilarityParams, sim_rows
 
@@ -92,16 +92,12 @@ def doss(
         raise EmptyTermSet(source_id)
     if not reference_terms:
         raise EmptyTermSet(reference_id)
-    unknown = sorted(t for t in {*source_terms, *reference_terms} if t not in graph)
-    if unknown:
-        raise UnknownTerm(*unknown)
+    graph.closures(sorted({*source_terms, *reference_terms}))  # names unknown ids sorted
 
     matches: list[BestMatch] = []
     for source, row in zip(source_terms, sim_rows(graph, params, source_terms, reference_terms)):
-        best = 0
-        for j in range(1, len(row)):
-            if row[j] > row[best]:
-                best = j
+        # max keeps the first maximum: ties go to the lowest reference id
+        best = max(range(len(row)), key=row.__getitem__)
         matches.append(BestMatch(source, reference_terms[best], row[best]))
     value = h([m.similarity for m in matches])
     return DossResult(
@@ -164,9 +160,6 @@ def doss_matrix(
         else:
             excluded.append(ds.id)
     all_terms = sorted({t for terms in term_lists for t in terms})
-    unknown = [t for t in all_terms if t not in graph]
-    if unknown:
-        raise UnknownTerm(*unknown)
 
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)

@@ -9,6 +9,7 @@ bytes are platform-independent.
 from __future__ import annotations
 
 import csv
+from itertools import dropwhile
 from typing import IO, Iterable, Mapping, Sequence
 
 
@@ -28,7 +29,8 @@ def write_matrix_csv(
 
 
 def read_matrix_csv(lines: Iterable[str]) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
-    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    # only the metadata block before the header is skipped: a label may start with "#"
+    rows = list(csv.reader(dropwhile(lambda line: line.startswith("#"), lines)))
     if not rows:
         raise ValueError("matrix file has no header row")
     labels = tuple(rows[0][1:])

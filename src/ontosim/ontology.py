@@ -34,18 +34,17 @@ class OntologyGraph:
         "_index",
         "_parents",
         "_labels",
-        "_synonyms",
         "_edge_count",
         "_lock",
         "_masks",
     )
 
-    def __init__(self, ids, index, parents, labels, synonyms, edge_count):
+    def __init__(self, ids, index, parents, labels, edge_count):
         self._ids: tuple[str, ...] = ids
         self._index: dict[str, int] = index
         self._parents: tuple[tuple[int, ...], ...] = parents
-        self._labels: dict[int, str] = labels
-        self._synonyms: dict[int, tuple[str, ...]] = synonyms
+        # (label, synonyms) by term id, only for terms that have either
+        self._labels: dict[str, tuple[str | None, tuple[str, ...]]] = labels
         self._edge_count: int = edge_count
         # closure cache keyed by term id; see _closure(). The name is not
         # "_closures" because the benchmark's tracer counts memoised closures
@@ -77,22 +76,19 @@ class OntologyGraph:
             raise UnknownTerm(term) from None
 
     def label(self, term: TermId) -> str | None:
-        return self._labels.get(self._node(term))
+        self._node(term)  # raises UnknownTerm
+        return self._labels.get(term, (None, ()))[0]
 
     def synonyms(self, term: TermId) -> tuple[str, ...]:
-        return self._synonyms.get(self._node(term), ())
+        self._node(term)
+        return self._labels.get(term, (None, ()))[1]
 
     def parents(self, term: TermId) -> tuple[TermId, ...]:
         return tuple(self._ids[p] for p in self._parents[self._node(term)])
 
     def label_entries(self) -> dict[TermId, tuple[str | None, tuple[str, ...]]]:
         """Map of term id to (label, synonyms) for every term that has either."""
-        out: dict[str, tuple[str | None, tuple[str, ...]]] = {}
-        for node, label in self._labels.items():
-            out[self._ids[node]] = (label, self._synonyms.get(node, ()))
-        for node, syns in self._synonyms.items():
-            out.setdefault(self._ids[node], (None, syns))
-        return out
+        return dict(self._labels)
 
     def _closure(self, term: TermId) -> tuple[int, ...]:
         """Node indexes of the term's ancestor closure (the term included).
@@ -121,17 +117,22 @@ class OntologyGraph:
         ids = self._ids
         return frozenset(ids[node] for node in self.closures((term,))[0])
 
-    def closures(self, terms: Iterable[TermId]) -> list[tuple[int, ...]]:
+    def closures(self, terms: Sequence[TermId]) -> list[tuple[int, ...]]:
         """Ancestor closures of the given terms as tuples of node indexes,
         in order.
 
         Indexes of one graph are comparable, so ``len(c)`` is theta and
-        ``len(set(c1).intersection(c2))`` is psi. Raises UnknownTerm for the
-        first term the graph does not contain.
+        ``len(set(c1).intersection(c2))`` is psi. This is where every term id
+        is resolved: UnknownTerm names each id the graph does not contain
+        once, in the given order.
         """
         memo = self._masks.get
-        # a closure always holds its own term, so only a miss is falsy
-        return [memo(term) or self._closure(term) for term in terms]
+        try:
+            # a closure always holds its own term, so only a miss is falsy
+            return [memo(term) or self._closure(term) for term in terms]
+        except UnknownTerm:
+            index = self._index
+            raise UnknownTerm(*dict.fromkeys(t for t in terms if t not in index)) from None
 
     def theta(self, term: TermId) -> int:
         """Size of the ancestor set; at least 1 because the set contains the term."""
@@ -152,10 +153,8 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
     :class:`DanglingEdgeEndpoint`, and any directed cycle raises
     :class:`CycleDetected` with one offending closed path.
     """
-    ids: list[str] = []
     index: dict[str, int] = {}
-    labels: dict[int, str] = {}
-    synonyms: dict[int, tuple[str, ...]] = {}
+    labels: dict[str, tuple[str | None, tuple[str, ...]]] = {}
     for entry in terms:
         if isinstance(entry, str):
             term_id, label, syns = entry, None, ()
@@ -167,14 +166,11 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
             raise ValueError("term ids must be non-empty strings")
         if term_id in index:
             raise DuplicateTermId(term_id)
-        node = len(ids)
-        index[term_id] = node
-        ids.append(term_id)
-        if label:
-            labels[node] = label
-        if syns:
-            synonyms[node] = syns
+        index[term_id] = len(index)
+        if label or syns:
+            labels[term_id] = (label or None, syns)
 
+    ids = tuple(index)
     parents: list[list[int]] = [[] for _ in ids]
     dangling: dict[str, None] = {}
     for child, parent in edges:
@@ -193,12 +189,10 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
     # dict.fromkeys drops repeated edges and keeps first-occurrence order
     frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
     _ensure_acyclic(ids, frozen)
-    return OntologyGraph(
-        tuple(ids), index, frozen, labels, synonyms, sum(map(len, frozen))
-    )
+    return OntologyGraph(ids, index, frozen, labels, sum(map(len, frozen)))
 
 
-def _ensure_acyclic(ids: list[str], parents: Sequence[Sequence[int]]) -> None:
+def _ensure_acyclic(ids: Sequence[str], parents: Sequence[Sequence[int]]) -> None:
     """Iterative three-colour DFS over child -> parent edges; recursion-free
     so arbitrarily deep chains cannot overflow the interpreter stack."""
     WHITE, GRAY, BLACK = 0, 1, 2

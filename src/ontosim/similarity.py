@@ -6,7 +6,13 @@ psi(t1, t2), the directed score is
     theta(t1) / (alpha * (theta(t1) - psi) + beta * (theta(t2) - psi) + theta(t1))
 
 The denominator is never smaller than the numerator and never zero, so the
-score lives in (0, 1] and equals 1 exactly when both ancestor sets coincide.
+score lives in (0, 1]. It is 1 exactly when alpha * (theta(t1) - psi) +
+beta * (theta(t2) - psi) is 0: always for t1 == t2, and for distinct terms
+only as the weights allow, since theta(t1) - psi is 0 only when t1 is an
+ancestor of t2 (and theta(t2) - psi only when t2 is one of t1). With alpha
+> 0 and beta > 0 distinct terms score below 1; with beta = 0 a parent
+scores 1 towards its child; with alpha = beta = 0 every score is 1. The
+mean of both directions is 1 for distinct terms only when alpha = beta = 0.
 The directed form is asymmetric whenever alpha != beta, so the user-facing
 measure defaults to averaging both directions; the raw directed form stays
 selectable as the "as-printed" policy.
@@ -60,7 +66,7 @@ def sim_rows(
     This is the only place the ratio is evaluated. Each term's closure and
     theta are read once and each pair's psi is computed once; under
     mean-of-directions both directions come from that one (theta1, theta2,
-    psi) triple. Raises UnknownTerm for the first unknown row or column term.
+    psi) triple. UnknownTerm names every unknown id once, rows first.
     """
     alpha, beta = params.alpha, params.beta
     mean = params.symmetrization == SYMMETRIZE_MEAN
@@ -70,9 +76,11 @@ def sim_rows(
 
     # A square mean-of-directions matrix is symmetric and float + commutes,
     # so the lower triangle is copied from the upper one bit for bit.
-    square = mean and list(rows) == list(cols)
-    row_closures = graph.closures(rows)
-    col_closures = row_closures if square else graph.closures(cols)
+    rows, cols = list(rows), list(cols)
+    square = mean and rows == cols
+    closures = graph.closures(rows if square else rows + cols)
+    row_closures = closures[: len(rows)]
+    col_closures = row_closures if square else closures[len(rows) :]
     # Bits go only to nodes of some row closure: psi never counts any other
     # node, so projecting every closure onto them is exact and keeps the
     # masks as narrow as this call allows.
@@ -160,9 +168,6 @@ def pairwise_matrix(
     ordered = list(dict.fromkeys(terms))
     if not ordered:
         raise EmptyTermList()
-    unknown = [t for t in ordered if t not in graph]
-    if unknown:
-        raise UnknownTerm(*unknown)
     return SimilarityMatrix(tuple(ordered), tuple(sim_rows(graph, params, ordered, ordered)))
 
 
@@ -179,8 +184,8 @@ def nearest_terms(
     pool = list(set(candidates))
     try:
         scores = sim_rows(graph, params, (query,), pool)[0]
-    except UnknownTerm:
-        unknown = [t for t in dict.fromkeys([query, *sorted(pool)]) if t not in graph]
-        raise UnknownTerm(*unknown) from None
+    except UnknownTerm as exc:
+        # the pool is in hash order: name the query first, then sorted ids
+        raise UnknownTerm(*sorted(exc.term_ids, key=lambda t: (t != query, t))) from None
     # (-score, id) is a total order, so the pool's own order does not matter
     return heapq.nsmallest(k, zip(pool, scores), key=lambda pair: (-pair[1], pair[0]))

@@ -235,6 +235,7 @@ class TestDoss:
         assert payload["value"] == 0.133752
         assert payload["aggregator"] == "mean"
         assert payload["symmetrization"] == "mean-of-directions"
+        assert (payload["alpha"], payload["beta"]) == (7.9, 3.9)
         assert len(payload["best_matches"]) == 2
 
     def test_empty_term_set_exits_5_naming_dataset(self, capsys):
@@ -278,11 +279,12 @@ class TestDossMatrixCmd:
     def test_json_output(self, capsys):
         _, out, _ = run(
             capsys, "doss-matrix", "--ontology-edges", TOY_EDGES_PATH,
-            "--catalog", TOY_CATALOG_PATH, "--format", "json",
+            "--catalog", TOY_CATALOG_PATH, "--format", "json", "--alpha", "2", "--beta", "0.5",
         )
         payload = json.loads(out)
         assert payload["dataset_ids"] == ["D1", "D2", "DS"]
         assert payload["excluded"] == ["DE"]
+        assert (payload["alpha"], payload["beta"]) == (2.0, 0.5)
 
 
 class TestStatsAndTerms:

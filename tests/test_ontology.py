@@ -82,6 +82,16 @@ class TestBuildValidation:
         assert g.parents("a") == ("r",)
         assert g.label_entries()["a"] == ("Alpha", ("first", "one"))
 
+    def test_label_entries_hold_only_terms_with_a_label_or_synonyms(self):
+        g = build_ontology(["r", ("a", "", ["syn"]), ("b", "Beta"), ("c", None)], [])
+        assert g.label_entries() == {"a": (None, ("syn",)), "b": ("Beta", ())}
+        assert (g.label("a"), g.synonyms("a")) == (None, ("syn",))
+        assert (g.label("c"), g.synonyms("c")) == (None, ())
+        g.label_entries().clear()  # a copy: the graph keeps its labels
+        assert g.label("b") == "Beta"
+        with pytest.raises(UnknownTerm):
+            g.label("zz")
+
     def test_empty_term_id_rejected(self):
         with pytest.raises(ValueError):
             build_ontology([""], [])
@@ -126,6 +136,15 @@ class TestAncestorQueries:
             g.closures(["b", "nope"])
         assert info.value.term_ids == ("nope",)
         assert g._masks == memo
+
+    def test_unknown_terms_named_once_in_given_order(self):
+        g = build_ontology(TOY_TERMS, TOY_EDGES)
+        with pytest.raises(UnknownTerm) as info:
+            g.closures(["x2", "b", "x1", "x2"])
+        assert info.value.term_ids == ("x2", "x1")
+        with pytest.raises(UnknownTerm) as info:
+            g.psi("x2", "x1")
+        assert info.value.term_ids == ("x2", "x1")
 
 
 class TestClosureProperties:

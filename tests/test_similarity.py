@@ -113,6 +113,20 @@ class TestDirectedForm:
         with pytest.raises(UnknownTerm):
             sim_rm_directed(toy_graph, default_params, "b", "zz")
 
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    def test_every_unknown_id_named_once_rows_first(self, toy_graph, policy):
+        params = SimilarityParams(symmetrization=policy)
+        for fn in (sim_rm, sim_rm_directed, distance):
+            with pytest.raises(UnknownTerm) as exc:
+                fn(toy_graph, params, "x2", "x1")
+            assert exc.value.term_ids == ("x2", "x1")
+            with pytest.raises(UnknownTerm) as exc:
+                fn(toy_graph, params, "x1", "x1")
+            assert exc.value.term_ids == ("x1",)
+        with pytest.raises(UnknownTerm) as exc:
+            sim_rows(toy_graph, params, ["a", "x3", "x1"], ["x2", "b", "x1"])
+        assert exc.value.term_ids == ("x3", "x1", "x2")
+
 
 class TestSymmetrization:
     def test_identity_under_both_policies(self, toy_graph):
@@ -187,6 +201,16 @@ class TestPairwiseMatrix:
         for row, expected_row in zip(parsed.values, m.values):
             for got, expected in zip(row, expected_row):
                 assert abs(got - round(expected, 6)) <= 1e-9
+
+    def test_csv_round_trip_with_hash_prefixed_term(self, default_params):
+        # a data row starting with "#" is not a metadata line
+        g = build_ontology(["#r", "a", "b"], [("a", "#r"), ("b", "#r")])
+        m = pairwise_matrix(g, default_params, ["#r", "a", "b"])
+        buf = io.StringIO()
+        m.to_csv(buf, metadata={"ontology_version": "v1"})
+        parsed = SimilarityMatrix.from_csv(io.StringIO(buf.getvalue()))
+        assert parsed.terms == ("#r", "a", "b")
+        assert parsed.values[0][0] == 1.0
 
     def test_distance_companion(self, toy_graph, default_params):
         m = pairwise_matrix(toy_graph, default_params, ["a", "b", "c"])
