@@ -163,8 +163,8 @@ def _string(mapping: dict, key: str, path: str, allow_empty: bool = False) -> st
     value = mapping[key]
     if not isinstance(value, str):
         raise SchemaViolation(f"{path}.{key}", "expected a string")
-    if not value and not allow_empty:
-        raise SchemaViolation(f"{path}.{key}", "must not be empty")
+    if not value.strip() and not allow_empty:
+        raise SchemaViolation(f"{path}.{key}", "must not be only whitespace" if value else "must not be empty")
     return value
 
 

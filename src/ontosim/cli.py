@@ -49,6 +49,8 @@ from .errors import (
 from .ingest import ParseReport, parse_edge_list, parse_labels, parse_obo_subset
 from .ontology import OntologyGraph, build_ontology
 from .similarity import (
+    MAX_WEIGHT,
+    MIN_WEIGHT,
     SYMMETRIZE_AS_PRINTED,
     SYMMETRIZE_MEAN,
     SimilarityParams,
@@ -83,6 +85,8 @@ def _nonnegative(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
+    if value and not MIN_WEIGHT <= value <= MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(f"must be 0 or in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]")
     return value
 
 
@@ -287,6 +291,27 @@ def cmd_term_sim(args) -> int:
     return EXIT_OK
 
 
+def _stamp(args, catalog: AnnotationCatalog, params: SimilarityParams, **extra) -> dict:
+    """What every scoring output records, in output order."""
+    return {
+        "ontology_version": _version(args, catalog),
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "symmetrization": params.symmetrization,
+        **extra,
+    }
+
+
+def _write_matrix(args, matrix, metadata: dict) -> None:
+    # keys the JSON payload already has keep their position
+    with _out_stream(args.out) as fh:
+        if args.format == "json":
+            json.dump({**matrix.to_json_dict(), **metadata}, fh, indent=2)
+            fh.write("\n")
+        else:
+            matrix.to_csv(fh, metadata=metadata)
+
+
 def cmd_matrix(args) -> int:
     graph, _ = _load_graph(args)
     catalog = _load_catalog(args)
@@ -294,21 +319,7 @@ def cmd_matrix(args) -> int:
     matrix = pairwise_matrix(graph, params, catalog_terms(catalog))
     if args.distance:
         matrix = matrix.to_distance()
-    metadata = {
-        "ontology_version": _version(args, catalog),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "symmetrization": params.symmetrization,
-        "kind": "distance" if args.distance else "similarity",
-    }
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = matrix.to_json_dict()
-            payload.update(metadata)
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            matrix.to_csv(fh, metadata=metadata)
+    _write_matrix(args, matrix, _stamp(args, catalog, params, kind="distance" if args.distance else "similarity"))
     return EXIT_OK
 
 
@@ -318,8 +329,7 @@ def cmd_doss(args) -> int:
     params = _params(args)
     result = doss(graph, params, catalog, args.dataset1, args.dataset2, args.agg)
     if args.format == "json":
-        payload = result.to_json_dict()
-        payload.update(ontology_version=_version(args, catalog), alpha=params.alpha, beta=params.beta)
+        payload = {**result.to_json_dict(), **_stamp(args, catalog, params, aggregator=result.aggregator)}
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_OK
@@ -341,21 +351,7 @@ def cmd_doss_matrix(args) -> int:
     matrix = doss_matrix(graph, params, catalog, args.agg)
     for dataset_id in matrix.excluded:
         print(f"excluded (no annotated terms): {dataset_id}", file=sys.stderr)
-    metadata = {
-        "ontology_version": _version(args, catalog),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "symmetrization": params.symmetrization,
-        "aggregator": matrix.aggregator,
-    }
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = matrix.to_json_dict()
-            payload.update(ontology_version=metadata["ontology_version"], alpha=params.alpha, beta=params.beta)
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            matrix.to_csv(fh, metadata=metadata)
+    _write_matrix(args, matrix, _stamp(args, catalog, params, aggregator=matrix.aggregator))
     return EXIT_OK
 
 

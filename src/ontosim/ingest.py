@@ -17,6 +17,7 @@ spaces are preserved).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable
 
 from .errors import EmptyInput, MalformedLine, MalformedStanza
@@ -98,45 +99,31 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
     terms: list[TermTriple] = []
     edges: list[tuple[str, str]] = []
     report = ParseReport()
-    declared: set[str] = set()
     referenced: dict[str, int] = {}
 
-    stanza: dict | None = None
-
-    def flush() -> None:
-        nonlocal stanza
-        if stanza is None:
-            return
-        if stanza["id"] is None:
-            raise MalformedStanza("[Term] stanza has no id:", line=stanza["start"])
-        if stanza["obsolete"]:
-            report.warnings.append((stanza["start"], f"skipped obsolete term {stanza['id']}"))
-        else:
-            terms.append((stanza["id"], stanza["name"], tuple(stanza["synonyms"])))
-            declared.add(stanza["id"])
-            for target, lineno in stanza["is_a"]:
-                edges.append((stanza["id"], target))
-                referenced.setdefault(target, lineno)
-        stanza = None
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n").strip()
-        if line.startswith("!"):
+    # the open [Term] stanza; start is its header line, 0 when none is open
+    start, term_id, name, synonyms, is_a, obsolete = 0, None, None, [], [], False
+    # every header closes the open stanza; the "[" sentinel closes the last one
+    for lineno, raw in enumerate(chain(lines, ("[",)), start=1):
+        line = raw.strip()
+        if not line or line[0] == "!":
             continue
-        if line.startswith("["):
-            flush()
-            if line == "[Term]":
-                stanza = {
-                    "start": lineno,
-                    "id": None,
-                    "name": None,
-                    "synonyms": [],
-                    "is_a": [],
-                    "obsolete": False,
-                }
+        if line[0] == "[":
+            if start:
+                if term_id is None:
+                    raise MalformedStanza("[Term] stanza has no id:", line=start)
+                if obsolete:
+                    report.warnings.append((start, f"skipped obsolete term {term_id}"))
+                else:
+                    terms.append((term_id, name, tuple(synonyms)))
+                    for target, at in is_a:
+                        edges.append((term_id, target))
+                        referenced.setdefault(target, at)
+            start = lineno if line == "[Term]" else 0
+            term_id, name, synonyms, is_a, obsolete = None, None, [], [], False
             continue
-        if not line or stanza is None:
-            # blank line, document header, or body of a skipped stanza type
+        if not start:
+            # document header or body of a skipped stanza type
             continue
         if ":" not in line:
             raise MalformedLine(f"expected key: value, got {line!r}", line=lineno)
@@ -146,9 +133,9 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
         if key == "id":
             if not value:
                 raise MalformedStanza("empty id:", line=lineno)
-            stanza["id"] = value
+            term_id = value
         elif key == "name":
-            stanza["name"] = value or None
+            name = value or None
         elif key == "synonym":
             first = value.find('"')
             second = value.find('"', first + 1)
@@ -156,23 +143,22 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
                 raise MalformedLine("synonym text must be enclosed in double quotes", line=lineno)
             text = value[first + 1 : second]
             if text:
-                stanza["synonyms"].append(text)
+                synonyms.append(text)
         elif key == "is_a":
             target = value.split("!", 1)[0].strip()
             if not target:
                 raise MalformedLine("is_a without a target id", line=lineno)
-            stanza["is_a"].append((target, lineno))
+            is_a.append((target, lineno))
         elif key == "is_obsolete":
-            stanza["obsolete"] = value.lower() == "true"
+            obsolete = value.lower() == "true"
         elif key == "relationship":
             report.ignored_relation_count += 1
         # every other OBO key is ignored
-    flush()
 
+    declared = {term[0] for term in terms}
     for target, lineno in referenced.items():
         if target not in declared:
             terms.append((target, None, ()))
-            declared.add(target)
             report.warnings.append((lineno, f"parent {target} referenced but not defined; added as bare term"))
 
     if not terms:

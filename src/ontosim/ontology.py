@@ -11,7 +11,6 @@ the call needs.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence, Union
 
 from .errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, UnknownTerm
@@ -35,7 +34,6 @@ class OntologyGraph:
         "_parents",
         "_labels",
         "_edge_count",
-        "_lock",
         "_masks",
     )
 
@@ -49,7 +47,6 @@ class OntologyGraph:
         # closure cache keyed by term id; see _closure(). The name is not
         # "_closures" because the benchmark's tracer counts memoised closures
         # as len(graph._masks).
-        self._lock = threading.Lock()
         self._masks: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -93,24 +90,20 @@ class OntologyGraph:
     def _closure(self, term: TermId) -> tuple[int, ...]:
         """Node indexes of the term's ancestor closure (the term included).
 
-        The lock serialises closure construction; concurrent readers of an
-        already-memoised closure never block.
+        The memo needs no lock: threads that race on one term build equal
+        tuples, and a dict store is atomic.
         """
         node = self._node(term)
-        with self._lock:
-            closure = self._masks.get(term)
-            if closure is not None:
-                return closure
-            parents = self._parents
-            seen = {node}
-            stack = [node]
-            while stack:
-                for parent in parents[stack.pop()]:
-                    if parent not in seen:
-                        seen.add(parent)
-                        stack.append(parent)
-            closure = self._masks[term] = tuple(seen)
-            return closure
+        parents = self._parents
+        seen = {node}
+        stack = [node]
+        while stack:
+            for parent in parents[stack.pop()]:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        closure = self._masks[term] = tuple(seen)
+        return closure
 
     def ancestors(self, term: TermId) -> frozenset[TermId]:
         """The term together with every term reachable along is-a edges."""

@@ -13,6 +13,10 @@ ancestor of t2 (and theta(t2) - psi only when t2 is one of t1). With alpha
 > 0 and beta > 0 distinct terms score below 1; with beta = 0 a parent
 scores 1 towards its child; with alpha = beta = 0 every score is 1. The
 mean of both directions is 1 for distinct terms only when alpha = beta = 0.
+A weight is 0 or in [MIN_WEIGHT, MAX_WEIGHT] = [1e-6, 1e6]. Outside that
+range the float kernel cannot keep these bounds: a smaller positive weight
+can vanish beside theta and round a distinct pair's score to exactly 1, and
+a larger one can overflow the denominator and round the score to 0.
 The directed form is asymmetric whenever alpha != beta, so the user-facing
 measure defaults to averaging both directions; the raw directed form stays
 selectable as the "as-printed" policy.
@@ -21,7 +25,6 @@ selectable as the "as-printed" policy.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
@@ -33,6 +36,8 @@ from .ontology import OntologyGraph, TermId
 SYMMETRIZE_AS_PRINTED = "as-printed"
 SYMMETRIZE_MEAN = "mean-of-directions"
 SYMMETRIZATIONS = (SYMMETRIZE_AS_PRINTED, SYMMETRIZE_MEAN)
+# accepted range of a positive weight; see the module docstring
+MIN_WEIGHT, MAX_WEIGHT = 1e-6, 1e6
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,9 @@ class SimilarityParams:
     symmetrization: str = SYMMETRIZE_MEAN
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        # the range test also rejects nan, infinities and negative weights
+        if not all(w == 0 or MIN_WEIGHT <= w <= MAX_WEIGHT for w in (self.alpha, self.beta)):
+            raise ValueError(f"alpha and beta must be 0 or in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]")
         if self.symmetrization not in SYMMETRIZATIONS:
             raise ValueError(
                 f"symmetrization must be one of {SYMMETRIZATIONS}, got {self.symmetrization!r}"

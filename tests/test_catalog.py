@@ -85,6 +85,21 @@ class TestLoadCatalog:
             catalog_from_dict(minimal(datasets=[ds]))
         assert exc.value.path == "$.datasets[0].features[0].term"
 
+    @pytest.mark.parametrize("blank", [" ", "\t", " \n "])
+    def test_whitespace_only_dataset_id_rejected(self, blank):
+        ds = dict(minimal()["datasets"][0], id=blank)
+        with pytest.raises(SchemaViolation) as exc:
+            catalog_from_dict(minimal(datasets=[ds]))
+        assert exc.value.path == "$.datasets[0].id"
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " \n "])
+    def test_whitespace_only_feature_name_rejected(self, blank):
+        ds = minimal()["datasets"][0]
+        ds["features"] = [{"name": "age", "term": "T1"}, {"name": blank, "term": None}]
+        with pytest.raises(SchemaViolation) as exc:
+            catalog_from_dict(minimal(datasets=[ds]))
+        assert exc.value.path == "$.datasets[0].features[1].name"
+
     def test_unknown_keys_rejected(self):
         payload = minimal()
         payload["extra"] = 1

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -31,6 +32,11 @@ def parse_kv_lines(out):
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     return values
+
+
+def top_level_keys(json_text):
+    """Top-level keys in the order the text lists them (indent=2 output)."""
+    return re.findall(r'^  "([^"]+)":', json_text, flags=re.MULTILINE)
 
 
 def read_csv_rows(text):
@@ -287,6 +293,40 @@ class TestDossMatrixCmd:
         assert (payload["alpha"], payload["beta"]) == (2.0, 0.5)
 
 
+class TestScoringJsonKeyOrder:
+    """The stamp appends to each payload; keys it shares keep their place."""
+
+    def test_matrix(self, capsys):
+        _, out, _ = run(
+            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+            "--format", "json", "--distance",
+        )
+        assert top_level_keys(out) == [
+            "terms", "values", "ontology_version", "alpha", "beta", "symmetrization", "kind",
+        ]
+        assert '\n  "kind": "distance"\n}\n' in out
+
+    def test_doss_matrix(self, capsys):
+        _, out, _ = run(
+            capsys, "doss-matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+            "--format", "json", "--agg", "max",
+        )
+        assert top_level_keys(out) == [
+            "dataset_ids", "values", "aggregator", "symmetrization", "excluded", "ontology_version", "alpha", "beta",
+        ]
+        assert '\n  "aggregator": "max",\n  "symmetrization": "mean-of-directions",\n' in out
+
+    def test_doss(self, capsys):
+        _, out, _ = run(
+            capsys, "doss", "D1", "D2", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+            "--format", "json", "--symmetrize", "as-printed",
+        )
+        assert top_level_keys(out) == [
+            "direction", "aggregator", "symmetrization", "value", "best_matches", "ontology_version", "alpha", "beta",
+        ]
+        assert '\n  "symmetrization": "as-printed",\n' in out
+
+
 class TestStatsAndTerms:
     def test_stats_reproduces_catalog_counts(self, capsys):
         code, out, _ = run(capsys, "stats", "--catalog", HC_CATALOG_PATH)
@@ -335,6 +375,18 @@ class TestStatsAndTerms:
         code, _, err = run(capsys, "stats", "--catalog", str(path))
         assert code == 1
         assert "$" in err
+
+    @pytest.mark.parametrize("field", ["id", "name"])
+    def test_whitespace_only_catalog_string_exits_1(self, capsys, tmp_path, field):
+        dataset = {"id": "D", "name": "d", "origin": [], "category": "EHR",
+                   "features": [{"name": "age", "term": None}]}
+        target = dataset if field == "id" else dataset["features"][0]
+        target[field] = "  "
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"ontology_version": "x", "datasets": [dataset]}), encoding="utf-8")
+        code, out, err = run(capsys, "stats", "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert "must not be only whitespace" in err
 
 
 class TestSearch:
@@ -391,6 +443,24 @@ class TestUsageErrors:
             main(["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, flag, value])
         assert exc.value.code == 64
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["1e308", "1e-300"])
+    def test_weight_outside_the_domain_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, flag, value])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be 0 or in [1e-06, 1e+06]" in captured.err
+
+    @pytest.mark.parametrize("value", ["1e-6", "1e6"])
+    def test_domain_end_points_accepted(self, capsys, value):
+        code, out, _ = run(
+            capsys, "term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, "--alpha", value, "--beta", value,
+        )
+        assert code == 0
+        assert f"# alpha: {float(value)}  beta: {float(value)}" in out
 
 
 class TestOntologyVersionEcho:

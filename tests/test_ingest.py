@@ -1,6 +1,8 @@
 """Edge-list, label, and OBO-subset parsing."""
 
 import io
+import json
+import random
 
 import pytest
 
@@ -14,6 +16,7 @@ from ontosim import (
     parse_obo_subset,
     write_edge_list,
 )
+from ontosim.cli import main
 from conftest import FIXTURES
 
 
@@ -139,3 +142,126 @@ class TestOboSubset:
     def test_empty_document(self):
         with pytest.raises(EmptyInput):
             parse_obo_subset(io.StringIO("format-version: 1.2\n"))
+
+
+class TestOboEndOfStanza:
+    """A stanza ends at the next header or at the end of the input."""
+
+    def test_last_stanza_without_id_names_its_start_line(self):
+        text = "[Term]\nid: X:1\n\n[Term]\nname: nameless\nis_a: X:1\n"
+        with pytest.raises(MalformedStanza) as exc:
+            parse_obo_subset(io.StringIO(text))
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: [Term] stanza has no id:"
+
+    def test_obsolete_last_stanza(self):
+        text = "[Term]\nid: X:1\n\n[Term]\nid: X:9\nis_a: X:1\nis_obsolete: true"
+        terms, edges, report = parse_obo_subset(io.StringIO(text))
+        assert terms == [("X:1", None, ())]
+        assert edges == []
+        assert report.warnings == [(4, "skipped obsolete term X:9")]
+        assert (report.term_count, report.edge_count) == (1, 0)
+
+    def test_typedef_closes_an_open_term(self):
+        text = (
+            "[Term]\nid: X:2\nname: two\nis_a: X:1\n"
+            "[Typedef]\nid: part_of\nname: part of\nis_a: X:7\nrelationship: bogus\n"
+            "[Term]\nid: X:1\n"
+        )
+        terms, edges, report = parse_obo_subset(io.StringIO(text))
+        assert terms == [("X:2", "two", ()), ("X:1", None, ())]
+        assert edges == [("X:2", "X:1")]
+        assert report.warnings == []
+        assert report.ignored_relation_count == 0
+
+    def test_file_ending_in_a_bare_term_header(self):
+        text = "[Term]\nid: X:1\n\n[Term]\n"
+        with pytest.raises(MalformedStanza) as exc:
+            parse_obo_subset(io.StringIO(text))
+        assert exc.value.line == 4
+
+    def test_undefined_parent_warnings_keep_first_reference_line_and_order(self):
+        text = (
+            "[Term]\nid: X:3\nis_a: X:8\nis_a: X:1\n"  # lines 1-4
+            "[Term]\nid: X:1\nis_a: X:7 ! seven\nis_a: X:8\n"  # lines 5-8
+            "[Term]\nid: X:2\nis_a: X:7\n"  # lines 9-11
+        )
+        terms, edges, report = parse_obo_subset(io.StringIO(text))
+        assert [t[0] for t in terms] == ["X:3", "X:1", "X:2", "X:8", "X:7"]
+        assert report.warnings == [
+            (3, "parent X:8 referenced but not defined; added as bare term"),
+            (7, "parent X:7 referenced but not defined; added as bare term"),
+        ]
+        assert edges == [("X:3", "X:8"), ("X:3", "X:1"), ("X:1", "X:7"), ("X:1", "X:8"), ("X:2", "X:7")]
+
+    def test_crlf_input(self):
+        lf = '[Term]\nid: X:2\nname: two \nsynonym: "deux" EXACT []\nis_a: X:1 ! one\n\n[Term]\nid: X:1\n'
+        crlf = lf.replace("\n", "\r\n")
+        assert parse_obo_subset(io.StringIO(crlf, newline="")) == parse_obo_subset(io.StringIO(lf))
+        terms, edges, _ = parse_obo_subset(io.StringIO(crlf, newline=""))
+        assert terms == [("X:2", "two", ("deux",)), ("X:1", None, ())]
+        assert edges == [("X:2", "X:1")]
+
+
+class TestOboMatchesEdgeList:
+    """One seeded DAG written both ways builds the same graph and matrix.
+
+    The shapes are those of the benchmark generator: one random earlier
+    parent per term and a second one every 10th term (which may repeat the
+    first); every OBO stanza has a name, a synonym and commented is_a lines.
+    """
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        rng = random.Random(20240)
+        parents = [[] for _ in range(self.N)]
+        for i in range(1, self.N):
+            parents[i].append(rng.randrange(i))
+            if i % 10 == 0:
+                parents[i].append(rng.randrange(i))
+        out = tmp_path_factory.mktemp("dag")
+        (out / "dag.tsv").write_text(
+            "".join(f"c{i}\tc{p}\n" for i in range(self.N) for p in parents[i]), encoding="utf-8"
+        )
+        obo = ["format-version: 1.2\nontology: dag\n"]
+        for i in range(self.N):
+            obo.append(f'\n[Term]\nid: c{i}\nname: concept {i}\nsynonym: "synthetic concept {i}" EXACT []\n')
+            obo.extend(f"is_a: c{p} ! concept {p}\n" for p in parents[i])
+        (out / "dag.obo").write_text("".join(obo), encoding="utf-8")
+        picks = rng.sample(range(self.N), 90)
+        catalog = {
+            "ontology_version": "dag",
+            "datasets": [
+                {"id": f"d{k}", "name": f"d{k}", "origin": [], "category": "EHR",
+                 "features": [{"name": f"f{j}", "term": f"c{i}"} for j, i in enumerate(picks[k::3])]}
+                for k in range(3)
+            ],
+        }
+        (out / "catalog.json").write_text(json.dumps(catalog), encoding="utf-8")
+        return out
+
+    def test_same_graph(self, files):
+        with open(files / "dag.tsv", encoding="utf-8") as fh:
+            ids, edges, _ = parse_edge_list(fh)
+        from_edges = build_ontology(ids, edges)
+        with open(files / "dag.obo", encoding="utf-8") as fh:
+            terms, edges, report = parse_obo_subset(fh)
+        from_obo = build_ontology(terms, edges)
+        assert report.warnings == []
+        assert sorted(from_edges.terms) == sorted(from_obo.terms)
+        assert len(from_obo) == self.N
+        assert from_edges.edge_count == from_obo.edge_count
+        for term in from_obo.terms:
+            assert from_edges.parents(term) == from_obo.parents(term)
+
+    def test_same_matrix_csv(self, files, capsys):
+        bodies = []
+        for flag, name in (("--ontology-edges", "dag.tsv"), ("--ontology-obo", "dag.obo")):
+            code = main(["matrix", flag, str(files / name), "--catalog", str(files / "catalog.json")])
+            out = capsys.readouterr().out
+            assert code == 0
+            bodies.append([line for line in out.splitlines() if not line.startswith("#")])
+        assert len(bodies[0]) == 91
+        assert bodies[0] == bodies[1]

@@ -1,9 +1,8 @@
 """Property tests over random DAGs, weights and catalogs.
 
-Weights are 0 or drawn from [1e-6, 1e6]. Outside that range the float
-kernel cannot keep the bounds: a weight so small that alpha * (theta - psi)
-vanishes beside theta rounds a distinct pair's score to exactly 1, and one
-so large that the denominator overflows rounds the score to 0.
+Weights are drawn from the whole accepted domain: 0 or [1e-6, 1e6], with
+both end points drawn explicitly. SimilarityParams rejects every other
+weight, because there the float kernel cannot keep the bounds.
 """
 
 import contextlib
@@ -28,6 +27,7 @@ from ontosim import (
     term_set,
 )
 from ontosim.cli import main
+from ontosim.similarity import MAX_WEIGHT, MIN_WEIGHT
 from conftest import FIXTURES, TOY_TERMS
 from helpers import DfsOracle
 
@@ -51,7 +51,7 @@ def dags(draw, max_nodes=10):
     return draw(st.permutations(ids)), edges
 
 
-weights = st.just(0.0) | st.floats(1e-6, 1e6)
+weights = st.sampled_from((0.0, MIN_WEIGHT, MAX_WEIGHT)) | st.floats(MIN_WEIGHT, MAX_WEIGHT)
 params = st.builds(SimilarityParams, weights, weights, st.sampled_from(POLICIES))
 
 

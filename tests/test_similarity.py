@@ -109,6 +109,22 @@ class TestDirectedForm:
         with pytest.raises(ValueError):
             SimilarityParams(beta=weight)
 
+    @pytest.mark.parametrize("weight", [1e308, 1e-300, 2e6, 5e-7])
+    def test_weights_outside_the_domain_rejected(self, weight):
+        with pytest.raises(ValueError):
+            SimilarityParams(alpha=weight)
+        with pytest.raises(ValueError):
+            SimilarityParams(beta=weight)
+
+    @pytest.mark.parametrize("weight", [1e-6, 1e6])
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    def test_domain_end_points_keep_distinct_terms_inside_the_bounds(self, toy_graph, weight, policy):
+        params = SimilarityParams(alpha=weight, beta=weight, symmetrization=policy)
+        for t1 in TOY_TERMS:
+            for t2 in TOY_TERMS:
+                if t1 != t2:
+                    assert 0.0 < sim_rm(toy_graph, params, t1, t2) < 1.0
+
     def test_unknown_term(self, toy_graph, default_params):
         with pytest.raises(UnknownTerm):
             sim_rm_directed(toy_graph, default_params, "b", "zz")
