@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Union
 
 from .errors import (
     DuplicateDatasetId,
@@ -28,6 +28,7 @@ from .errors import (
     UnknownCategory,
     UnknownDataset,
 )
+from .ingest import LabelTable
 
 CATEGORIES = ("Survey", "EHR")
 
@@ -273,10 +274,7 @@ class LabelMatch:
     score: float
 
 
-LabelMap = Mapping[str, tuple[Union[str, None], Sequence[str]]]
-
-
-def search_labels(labels: LabelMap, query: str, k: int) -> list[LabelMatch]:
+def search_labels(labels: LabelTable, query: str, k: int) -> list[LabelMatch]:
     """Case-insensitive substring search over labels and synonyms.
 
     Matches are ranked by (exact match, prefix match, substring position,

@@ -46,7 +46,7 @@ from .errors import (
     UnknownDataset,
     UnknownTerm,
 )
-from .ingest import ParseReport, parse_edge_list, parse_labels, parse_obo_subset
+from .ingest import LabelTable, ParseReport, parse_edge_list, parse_labels, parse_obo_subset
 from .ontology import OntologyGraph, build_ontology
 from .similarity import (
     MAX_WEIGHT,
@@ -104,7 +104,12 @@ def _add_ontology_options(parser: argparse.ArgumentParser, required: bool) -> No
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--ontology-edges", metavar="PATH", help="edge-list TSV: child<TAB>parent per line")
     group.add_argument("--ontology-obo", metavar="PATH", help="OBO-format ontology subset")
-    parser.add_argument("--labels", metavar="PATH", help="labels TSV: id<TAB>label[<TAB>synonym]*")
+    parser.add_argument(
+        "--labels",
+        metavar="PATH",
+        help="labels TSV: id<TAB>label[<TAB>synonym]*, read by search; "
+        "other commands given --ontology-edges only validate it",
+    )
     parser.add_argument(
         "--ontology-version",
         metavar="STR",
@@ -216,20 +221,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def _load_graph(args) -> tuple[OntologyGraph, ParseReport]:
+def _load_graph(args) -> tuple[OntologyGraph, LabelTable, ParseReport]:
     if args.ontology_edges:
         with open(args.ontology_edges, encoding="utf-8-sig") as fh:
-            term_ids, edges, report = parse_edge_list(fh)
-        terms: list = term_ids
+            terms, edges, report = parse_edge_list(fh)
+        labels: LabelTable = {}
         if args.labels:
             with open(args.labels, encoding="utf-8-sig") as fh:
                 labels, label_report = parse_labels(fh)
             report.warnings.extend(label_report.warnings)
-            terms = [(t, *labels[t]) if t in labels else t for t in term_ids]
     else:
         with open(args.ontology_obo, encoding="utf-8-sig") as fh:
-            terms, edges, report = parse_obo_subset(fh)
-    return build_ontology(terms, edges), report
+            terms, edges, labels, report = parse_obo_subset(fh)
+    return build_ontology(terms, edges), labels, report
 
 
 def _load_catalog(args) -> AnnotationCatalog:
@@ -265,7 +269,7 @@ def _print_warnings(report: ParseReport) -> None:
 
 
 def cmd_validate(args) -> int:
-    graph, report = _load_graph(args)
+    graph, _, report = _load_graph(args)
     _print_warnings(report)
     print(f"{len(graph)} terms, {graph.edge_count} edges")
     if report.ignored_relation_count:
@@ -274,7 +278,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_term_sim(args) -> int:
-    graph, _ = _load_graph(args)
+    graph, _, _ = _load_graph(args)
     params = _params(args)
     t1, t2 = args.term1, args.term2
     d12 = sim_rm_directed(graph, params, t1, t2)
@@ -313,7 +317,7 @@ def _write_matrix(args, matrix, metadata: dict) -> None:
 
 
 def cmd_matrix(args) -> int:
-    graph, _ = _load_graph(args)
+    graph, _, _ = _load_graph(args)
     catalog = _load_catalog(args)
     params = _params(args)
     matrix = pairwise_matrix(graph, params, catalog_terms(catalog))
@@ -324,7 +328,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_doss(args) -> int:
-    graph, _ = _load_graph(args)
+    graph, _, _ = _load_graph(args)
     catalog = _load_catalog(args)
     params = _params(args)
     result = doss(graph, params, catalog, args.dataset1, args.dataset2, args.agg)
@@ -345,7 +349,7 @@ def cmd_doss(args) -> int:
 
 
 def cmd_doss_matrix(args) -> int:
-    graph, _ = _load_graph(args)
+    graph, _, _ = _load_graph(args)
     catalog = _load_catalog(args)
     params = _params(args)
     matrix = doss_matrix(graph, params, catalog, args.agg)
@@ -434,8 +438,7 @@ def cmd_search(args) -> int:
             labels, report = parse_labels(fh)
         _print_warnings(report)
     elif args.ontology_obo:
-        graph, _ = _load_graph(args)
-        labels = graph.label_entries()
+        _, labels, _ = _load_graph(args)
     else:
         print("error: search needs --labels or --ontology-obo", file=sys.stderr)
         return EXIT_USAGE

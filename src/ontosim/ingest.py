@@ -22,7 +22,8 @@ from typing import IO, Iterable
 
 from .errors import EmptyInput, MalformedLine, MalformedStanza
 
-TermTriple = tuple[str, str | None, tuple[str, ...]]
+# term id -> (label, synonyms), holding only terms that have either
+LabelTable = dict[str, tuple[str | None, tuple[str, ...]]]
 
 
 @dataclass
@@ -64,13 +65,13 @@ def write_edge_list(edges: Iterable[tuple[str, str]], stream: IO[str]) -> None:
         stream.write(f"{child}\t{parent}\n")
 
 
-def parse_labels(lines: Iterable[str]) -> tuple[dict[str, tuple[str, tuple[str, ...]]], ParseReport]:
-    """Parse ``id<TAB>label[<TAB>synonym]*`` rows into a label map.
+def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
+    """Parse ``id<TAB>label[<TAB>synonym]*`` rows into a label table.
 
     A later entry for an already-seen id replaces the earlier one and is
     recorded as a warning in the report.
     """
-    labels: dict[str, tuple[str, tuple[str, ...]]] = {}
+    labels: LabelTable = {}
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -90,14 +91,17 @@ def parse_labels(lines: Iterable[str]) -> tuple[dict[str, tuple[str, tuple[str, 
     return labels, report
 
 
-def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple[str, str]], ParseReport]:
+def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, str]], LabelTable, ParseReport]:
     """Parse the OBO subset described in the module docstring.
 
+    Returns term ids and edges as :func:`parse_edge_list` does, plus the
+    label table of the terms that have a name or a synonym, in stanza order.
     ``is_a`` targets that never get their own stanza are emitted as bare
     terms (with a warning) so that no edge references an undeclared term.
     """
-    terms: list[TermTriple] = []
+    ids: list[str] = []
     edges: list[tuple[str, str]] = []
+    labels: LabelTable = {}
     report = ParseReport()
     referenced: dict[str, int] = {}
 
@@ -115,7 +119,9 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
                 if obsolete:
                     report.warnings.append((start, f"skipped obsolete term {term_id}"))
                 else:
-                    terms.append((term_id, name, tuple(synonyms)))
+                    ids.append(term_id)
+                    if name or synonyms:
+                        labels[term_id] = (name, tuple(synonyms))
                     for target, at in is_a:
                         edges.append((term_id, target))
                         referenced.setdefault(target, at)
@@ -133,6 +139,8 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
         if key == "id":
             if not value:
                 raise MalformedStanza("empty id:", line=lineno)
+            if term_id is not None:
+                raise MalformedStanza(f"[Term] stanza {term_id} has a second id: {value}", line=lineno)
             term_id = value
         elif key == "name":
             name = value or None
@@ -155,14 +163,14 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[TermTriple], list[tuple
             report.ignored_relation_count += 1
         # every other OBO key is ignored
 
-    declared = {term[0] for term in terms}
+    declared = set(ids)
     for target, lineno in referenced.items():
         if target not in declared:
-            terms.append((target, None, ()))
+            ids.append(target)
             report.warnings.append((lineno, f"parent {target} referenced but not defined; added as bare term"))
 
-    if not terms:
+    if not ids:
         raise EmptyInput("no [Term] stanzas found")
-    report.term_count = len(terms)
+    report.term_count = len(ids)
     report.edge_count = len(edges)
-    return terms, edges, report
+    return ids, edges, labels, report

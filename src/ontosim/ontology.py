@@ -11,14 +11,11 @@ the call needs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, UnknownTerm
 
 TermId = str
-
-# A term can be declared as a bare id, or as (id, label) / (id, label, synonyms).
-TermSpec = Union[str, Sequence]
 
 
 class OntologyGraph:
@@ -32,17 +29,14 @@ class OntologyGraph:
         "_ids",
         "_index",
         "_parents",
-        "_labels",
         "_edge_count",
         "_masks",
     )
 
-    def __init__(self, ids, index, parents, labels, edge_count):
+    def __init__(self, ids, index, parents, edge_count):
         self._ids: tuple[str, ...] = ids
         self._index: dict[str, int] = index
         self._parents: tuple[tuple[int, ...], ...] = parents
-        # (label, synonyms) by term id, only for terms that have either
-        self._labels: dict[str, tuple[str | None, tuple[str, ...]]] = labels
         self._edge_count: int = edge_count
         # closure cache keyed by term id; see _closure(). The name is not
         # "_closures" because the benchmark's tracer counts memoised closures
@@ -72,20 +66,8 @@ class OntologyGraph:
         except KeyError:
             raise UnknownTerm(term) from None
 
-    def label(self, term: TermId) -> str | None:
-        self._node(term)  # raises UnknownTerm
-        return self._labels.get(term, (None, ()))[0]
-
-    def synonyms(self, term: TermId) -> tuple[str, ...]:
-        self._node(term)
-        return self._labels.get(term, (None, ()))[1]
-
     def parents(self, term: TermId) -> tuple[TermId, ...]:
         return tuple(self._ids[p] for p in self._parents[self._node(term)])
-
-    def label_entries(self) -> dict[TermId, tuple[str | None, tuple[str, ...]]]:
-        """Map of term id to (label, synonyms) for every term that has either."""
-        return dict(self._labels)
 
     def _closure(self, term: TermId) -> tuple[int, ...]:
         """Node indexes of the term's ancestor closure (the term included).
@@ -137,31 +119,24 @@ class OntologyGraph:
         return len(set(c1).intersection(c2))
 
 
-def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) -> OntologyGraph:
-    """Validate term and edge declarations and return an immutable graph.
+def build_ontology(terms: Iterable[TermId], edges: Iterable[tuple[str, str]]) -> OntologyGraph:
+    """Validate term ids and edge declarations and return an immutable graph.
 
-    Duplicate edges are dropped silently (they carry no extra information);
-    duplicate term ids raise :class:`DuplicateTermId` because ids are
-    identity. Edges whose endpoints were never declared raise
-    :class:`DanglingEdgeEndpoint`, and any directed cycle raises
-    :class:`CycleDetected` with one offending closed path.
+    Every term is a non-empty string id; anything else raises ValueError
+    (labels stay in the table the parsers return). Duplicate edges are
+    dropped silently (they carry no extra information); duplicate term ids
+    raise :class:`DuplicateTermId` because ids are identity. Edges whose
+    endpoints were never declared raise :class:`DanglingEdgeEndpoint`, and
+    any directed cycle raises :class:`CycleDetected` with one offending
+    closed path.
     """
     index: dict[str, int] = {}
-    labels: dict[str, tuple[str | None, tuple[str, ...]]] = {}
-    for entry in terms:
-        if isinstance(entry, str):
-            term_id, label, syns = entry, None, ()
-        else:
-            term_id = entry[0]
-            label = entry[1] if len(entry) > 1 else None
-            syns = tuple(entry[2]) if len(entry) > 2 and entry[2] else ()
+    for term_id in terms:
         if not isinstance(term_id, str) or not term_id:
             raise ValueError("term ids must be non-empty strings")
         if term_id in index:
             raise DuplicateTermId(term_id)
         index[term_id] = len(index)
-        if label or syns:
-            labels[term_id] = (label or None, syns)
 
     ids = tuple(index)
     parents: list[list[int]] = [[] for _ in ids]
@@ -182,7 +157,7 @@ def build_ontology(terms: Iterable[TermSpec], edges: Iterable[tuple[str, str]]) 
     # dict.fromkeys drops repeated edges and keeps first-occurrence order
     frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
     _ensure_acyclic(ids, frozen)
-    return OntologyGraph(ids, index, frozen, labels, sum(map(len, frozen)))
+    return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
 
 
 def _ensure_acyclic(ids: Sequence[str], parents: Sequence[Sequence[int]]) -> None:

@@ -417,6 +417,35 @@ class TestSearch:
         code, _, err = run(capsys, "search", "age")
         assert code == 64
 
+    def test_labels_tsv_alone_feeds_search(self, capsys):
+        _, out, _ = run(
+            capsys, "search", "gender", "--labels", TOY_LABELS_PATH,
+        )
+        assert out.splitlines()[0].split("\t")[0] == "c"
+
+
+class TestGraphCommandsValidateLabels:
+    """Only search reads --labels; the graph commands still parse and check it."""
+
+    def test_validate_prints_duplicate_label_warning(self, capsys, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("a\tfirst\na\tsecond\n", encoding="utf-8")
+        assert run(capsys, "validate", "--ontology-edges", TOY_EDGES_PATH, "--labels", str(path)) == (
+            0,
+            "4 terms, 3 edges\n",
+            "warning: line 2: duplicate label entry for a; keeping the later one\n",
+        )
+
+    def test_matrix_rejects_malformed_labels_with_line_number(self, capsys, tmp_path):
+        path = tmp_path / "malformed.tsv"
+        path.write_text("a\tAge\nb\t\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+            "--labels", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: expected id<TAB>label[<TAB>synonym]*, got 'b\\t'\n"
+
 
 class TestUsageErrors:
     def test_missing_ontology_flag(self, capsys):
@@ -470,12 +499,6 @@ class TestOntologyVersionEcho:
             "--ontology-version", "release-7",
         )
         assert "# ontology_version: release-7" in out
-
-    def test_labels_merge_into_edge_graph(self, capsys):
-        _, out, _ = run(
-            capsys, "search", "gender", "--labels", TOY_LABELS_PATH,
-        )
-        assert out.splitlines()[0].split("\t")[0] == "c"
 
 
 class TestInputEncoding:

@@ -89,18 +89,18 @@ class TestLabels:
 class TestOboSubset:
     def test_single_stanza_with_is_a(self):
         text = "[Term]\nid: X:2\nname: child\nis_a: X:1\n"
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
-        ids = [t[0] for t in terms]
+        ids, edges, labels, report = parse_obo_subset(io.StringIO(text))
         # the undeclared parent is emitted as a bare term and counted, so
         # no edge ever references a term the parser did not emit
         assert "X:2" in ids and "X:1" in ids
         assert edges == [("X:2", "X:1")]
+        assert labels == {"X:2": ("child", ())}
         assert report.edge_count == 1
         assert report.term_count == 2
 
     def test_relationship_lines_ignored_but_counted(self):
         text = "[Term]\nid: X:1\nname: thing\nrelationship: part_of X:9\n"
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
+        _, edges, _, report = parse_obo_subset(io.StringIO(text))
         assert edges == []
         assert report.ignored_relation_count == 1
 
@@ -110,33 +110,52 @@ class TestOboSubset:
 
     def test_obsolete_stanza_skipped_and_counted(self):
         text = "[Term]\nid: X:1\nname: ok\n\n[Term]\nid: X:9\nis_obsolete: true\n"
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
-        assert [t[0] for t in terms] == ["X:1"]
+        ids, _, labels, report = parse_obo_subset(io.StringIO(text))
+        assert ids == ["X:1"]
+        assert labels == {"X:1": ("ok", ())}
         assert len(report.warnings) == 1
 
     def test_synonym_takes_first_quoted_text_only(self):
         text = '[Term]\nid: X:1\nsynonym: "the real one" EXACT [db:123]\n'
-        terms, _, _ = parse_obo_subset(io.StringIO(text))
-        assert terms[0][2] == ("the real one",)
+        _, _, labels, _ = parse_obo_subset(io.StringIO(text))
+        assert labels["X:1"] == (None, ("the real one",))
 
     def test_unquoted_synonym_is_malformed(self):
         with pytest.raises(MalformedLine):
             parse_obo_subset(io.StringIO("[Term]\nid: X:1\nsynonym: bare words\n"))
 
+    def test_label_table_holds_only_terms_with_a_name_or_synonyms(self):
+        text = (
+            "[Term]\nid: r\n\n"
+            '[Term]\nid: a\nname:\nsynonym: "syn" EXACT []\nis_a: r\n\n'
+            "[Term]\nid: b\nname: Beta\nis_a: r\n\n"
+            '[Term]\nid: c\nname:\nsynonym: "" EXACT []\nis_a: r\n'
+        )
+        ids, _, labels, _ = parse_obo_subset(io.StringIO(text))
+        assert ids == ["r", "a", "b", "c"]
+        # a name-less term with synonyms is kept; one with neither is absent
+        assert labels == {"a": (None, ("syn",)), "b": ("Beta", ())}
+
+    def test_second_id_in_a_stanza_is_malformed(self):
+        text = "[Term]\nid: A\nname: first\nid: B\nis_a: C\n"
+        with pytest.raises(MalformedStanza) as exc:
+            parse_obo_subset(io.StringIO(text))
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: [Term] stanza A has a second id: B"
+
     def test_is_a_comment_stripped(self):
         text = "[Term]\nid: X:2\nis_a: X:1 ! parent name\n"
-        _, edges, _ = parse_obo_subset(io.StringIO(text))
+        _, edges, _, _ = parse_obo_subset(io.StringIO(text))
         assert edges == [("X:2", "X:1")]
 
     def test_fixture_file_builds_a_graph(self):
         with open(FIXTURES / "mini.obo", encoding="utf-8") as fh:
-            terms, edges, report = parse_obo_subset(fh)
-        graph = build_ontology(terms, edges)
+            ids, edges, labels, report = parse_obo_subset(fh)
+        graph = build_ontology(ids, edges)
         assert len(graph) == 3
         assert graph.edge_count == 2
         assert report.ignored_relation_count == 1
-        assert graph.label("X:002") == "middle thing"
-        assert graph.synonyms("X:002") == ("the middle one",)
+        assert labels["X:002"] == ("middle thing", ("the middle one",))
         assert graph.ancestors("X:003") == {"X:003", "X:002", "X:001"}
 
     def test_empty_document(self):
@@ -156,8 +175,8 @@ class TestOboEndOfStanza:
 
     def test_obsolete_last_stanza(self):
         text = "[Term]\nid: X:1\n\n[Term]\nid: X:9\nis_a: X:1\nis_obsolete: true"
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
-        assert terms == [("X:1", None, ())]
+        ids, edges, labels, report = parse_obo_subset(io.StringIO(text))
+        assert (ids, labels) == (["X:1"], {})
         assert edges == []
         assert report.warnings == [(4, "skipped obsolete term X:9")]
         assert (report.term_count, report.edge_count) == (1, 0)
@@ -168,8 +187,8 @@ class TestOboEndOfStanza:
             "[Typedef]\nid: part_of\nname: part of\nis_a: X:7\nrelationship: bogus\n"
             "[Term]\nid: X:1\n"
         )
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
-        assert terms == [("X:2", "two", ()), ("X:1", None, ())]
+        ids, edges, labels, report = parse_obo_subset(io.StringIO(text))
+        assert (ids, labels) == (["X:2", "X:1"], {"X:2": ("two", ())})
         assert edges == [("X:2", "X:1")]
         assert report.warnings == []
         assert report.ignored_relation_count == 0
@@ -186,8 +205,9 @@ class TestOboEndOfStanza:
             "[Term]\nid: X:1\nis_a: X:7 ! seven\nis_a: X:8\n"  # lines 5-8
             "[Term]\nid: X:2\nis_a: X:7\n"  # lines 9-11
         )
-        terms, edges, report = parse_obo_subset(io.StringIO(text))
-        assert [t[0] for t in terms] == ["X:3", "X:1", "X:2", "X:8", "X:7"]
+        ids, edges, labels, report = parse_obo_subset(io.StringIO(text))
+        assert ids == ["X:3", "X:1", "X:2", "X:8", "X:7"]
+        assert labels == {}
         assert report.warnings == [
             (3, "parent X:8 referenced but not defined; added as bare term"),
             (7, "parent X:7 referenced but not defined; added as bare term"),
@@ -198,8 +218,8 @@ class TestOboEndOfStanza:
         lf = '[Term]\nid: X:2\nname: two \nsynonym: "deux" EXACT []\nis_a: X:1 ! one\n\n[Term]\nid: X:1\n'
         crlf = lf.replace("\n", "\r\n")
         assert parse_obo_subset(io.StringIO(crlf, newline="")) == parse_obo_subset(io.StringIO(lf))
-        terms, edges, _ = parse_obo_subset(io.StringIO(crlf, newline=""))
-        assert terms == [("X:2", "two", ("deux",)), ("X:1", None, ())]
+        ids, edges, labels, _ = parse_obo_subset(io.StringIO(crlf, newline=""))
+        assert (ids, labels) == (["X:2", "X:1"], {"X:2": ("two", ("deux",))})
         assert edges == [("X:2", "X:1")]
 
 
@@ -208,7 +228,8 @@ class TestOboMatchesEdgeList:
 
     The shapes are those of the benchmark generator: one random earlier
     parent per term and a second one every 10th term (which may repeat the
-    first); every OBO stanza has a name, a synonym and commented is_a lines.
+    first); every OBO stanza has a name, a synonym and commented is_a lines,
+    and the labels TSV carries the same name and synonym.
     """
 
     N = 2000
@@ -230,6 +251,9 @@ class TestOboMatchesEdgeList:
             obo.append(f'\n[Term]\nid: c{i}\nname: concept {i}\nsynonym: "synthetic concept {i}" EXACT []\n')
             obo.extend(f"is_a: c{p} ! concept {p}\n" for p in parents[i])
         (out / "dag.obo").write_text("".join(obo), encoding="utf-8")
+        (out / "labels.tsv").write_text(
+            "".join(f"c{i}\tconcept {i}\tsynthetic concept {i}\n" for i in range(self.N)), encoding="utf-8"
+        )
         picks = rng.sample(range(self.N), 90)
         catalog = {
             "ontology_version": "dag",
@@ -247,8 +271,8 @@ class TestOboMatchesEdgeList:
             ids, edges, _ = parse_edge_list(fh)
         from_edges = build_ontology(ids, edges)
         with open(files / "dag.obo", encoding="utf-8") as fh:
-            terms, edges, report = parse_obo_subset(fh)
-        from_obo = build_ontology(terms, edges)
+            ids, edges, _, report = parse_obo_subset(fh)
+        from_obo = build_ontology(ids, edges)
         assert report.warnings == []
         assert sorted(from_edges.terms) == sorted(from_obo.terms)
         assert len(from_obo) == self.N
@@ -265,3 +289,21 @@ class TestOboMatchesEdgeList:
             bodies.append([line for line in out.splitlines() if not line.startswith("#")])
         assert len(bodies[0]) == 91
         assert bodies[0] == bodies[1]
+
+    def test_same_label_table(self, files):
+        with open(files / "labels.tsv", encoding="utf-8") as fh:
+            from_tsv, _ = parse_labels(fh)
+        with open(files / "dag.obo", encoding="utf-8") as fh:
+            _, _, from_obo, _ = parse_obo_subset(fh)
+        assert len(from_obo) == self.N
+        assert list(from_tsv.items()) == list(from_obo.items())
+
+    def test_same_search_output(self, files, capsys):
+        outputs = []
+        for flag, name in (("--ontology-obo", "dag.obo"), ("--labels", "labels.tsv")):
+            code = main(["search", "concept 1", "--top", "20", flag, str(files / name)])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert len(outputs[0].splitlines()) == 20
+        assert outputs[0] == outputs[1]

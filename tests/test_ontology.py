@@ -1,5 +1,6 @@
 """Graph construction, validation, and ancestor-set queries."""
 
+import io
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,8 @@ from ontosim import (
     DuplicateTermId,
     UnknownTerm,
     build_ontology,
+    parse_edge_list,
+    parse_labels,
 )
 from conftest import TOY_EDGES, TOY_TERMS
 from helpers import DfsOracle, random_dag
@@ -74,27 +77,22 @@ class TestBuildValidation:
                 build_ontology(ids, edges + [(parent, child)])
 
     def test_term_metadata(self):
-        g = build_ontology([("r", "Root"), ("a", "Alpha", ["first", "one"])], [("a", "r")])
-        assert g.label("a") == "Alpha"
-        assert g.synonyms("a") == ("first", "one")
-        assert g.label("r") == "Root"
-        assert g.synonyms("r") == ()
+        # labels are a table beside the graph, keyed by the same ids
+        ids, edges, _ = parse_edge_list(io.StringIO("a\tr\n"))
+        labels, _ = parse_labels(io.StringIO("r\tRoot\na\tAlpha\tfirst\tone\n"))
+        g = build_ontology(ids, edges)
+        assert labels["a"] == ("Alpha", ("first", "one"))
+        assert labels["r"] == ("Root", ())
         assert g.parents("a") == ("r",)
-        assert g.label_entries()["a"] == ("Alpha", ("first", "one"))
-
-    def test_label_entries_hold_only_terms_with_a_label_or_synonyms(self):
-        g = build_ontology(["r", ("a", "", ["syn"]), ("b", "Beta"), ("c", None)], [])
-        assert g.label_entries() == {"a": (None, ("syn",)), "b": ("Beta", ())}
-        assert (g.label("a"), g.synonyms("a")) == (None, ("syn",))
-        assert (g.label("c"), g.synonyms("c")) == (None, ())
-        g.label_entries().clear()  # a copy: the graph keeps its labels
-        assert g.label("b") == "Beta"
-        with pytest.raises(UnknownTerm):
-            g.label("zz")
+        assert set(labels) == set(g.terms)
 
     def test_empty_term_id_rejected(self):
         with pytest.raises(ValueError):
             build_ontology([""], [])
+
+    def test_labelled_term_spec_rejected(self):
+        with pytest.raises(ValueError):
+            build_ontology([("r", "Root")], [])
 
 
 class TestAncestorQueries:
