@@ -101,6 +101,9 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
         raise SchemaViolation("$", "expected a JSON object")
     _reject_unknown_keys(payload, {"ontology_version", "datasets"}, "$")
     version = _string(payload, "ontology_version", "$", allow_empty=True)
+    if "\n" in version or "\r" in version:
+        # it is echoed as a "# ontology_version:" comment line
+        raise SchemaViolation("$.ontology_version", "must not contain a line break")
     datasets_raw = _array(payload, "datasets", "$")
 
     datasets: list[DatasetRecord] = []

@@ -14,9 +14,12 @@ Exit codes: 0 success; 1 malformed input (ontology parse or catalog schema);
 2 cycle in the ontology; 3 I/O failure; 4 unknown term or dataset id;
 5 dataset with no annotated terms; 64 command-line usage error.
 
-Every output carries the ontology version string: as ``# ontology_version``
-comment lines in CSV and text output, as a top-level key in JSON. The value
-comes from --ontology-version when given, otherwise from the catalog.
+The outputs of term-sim, matrix, doss, doss-matrix, stats and terms carry
+the ontology version string: as ``# ontology_version`` comment lines in CSV
+and text output, as a top-level key in JSON. The scoring commands (term-sim,
+matrix, doss, doss-matrix) take it from --ontology-version when given,
+otherwise from the catalog (term-sim: 'unspecified'); stats and terms take
+it from the catalog.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import sys
 from typing import IO, Iterator
 
@@ -76,18 +78,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative(text: str) -> float:
+def _weight(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    if value and not MIN_WEIGHT <= value <= MAX_WEIGHT:
+    # the library's range test; it also rejects nan, infinities and negatives
+    if not (value == 0 or MIN_WEIGHT <= value <= MAX_WEIGHT):
         raise argparse.ArgumentTypeError(f"must be 0 or in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]")
     return value
+
+
+def _one_line(text: str) -> str:
+    # a line break would split the "# ontology_version:" comment line
+    if "\n" in text or "\r" in text:
+        raise argparse.ArgumentTypeError("must not contain a line break")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -100,32 +106,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_ontology_options(parser: argparse.ArgumentParser, required: bool) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_ontology_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--ontology-edges", metavar="PATH", help="edge-list TSV: child<TAB>parent per line")
     group.add_argument("--ontology-obo", metavar="PATH", help="OBO-format ontology subset")
-    parser.add_argument(
-        "--labels",
-        metavar="PATH",
-        help="labels TSV: id<TAB>label[<TAB>synonym]*, read by search; "
-        "other commands given --ontology-edges only validate it",
-    )
-    parser.add_argument(
-        "--ontology-version",
-        metavar="STR",
-        default=None,
-        help="version string recorded in outputs (default: catalog value, else 'unspecified')",
-    )
 
 
-def _add_similarity_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_nonnegative, default=7.9, help="weight of the source term's unshared information (default 7.9)")
-    parser.add_argument("--beta", type=_nonnegative, default=3.9, help="weight of the target term's unshared information (default 3.9)")
+def _add_scoring_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=_weight, default=7.9, help="weight of the source term's unshared information (default 7.9)")
+    parser.add_argument("--beta", type=_weight, default=3.9, help="weight of the target term's unshared information (default 3.9)")
     parser.add_argument(
         "--symmetrize",
         choices=("as-printed", "mean"),
         default="mean",
         help="'mean' averages both directions (default); 'as-printed' keeps the raw directed form",
+    )
+    parser.add_argument(
+        "--ontology-version",
+        type=_one_line,
+        metavar="STR",
+        default=None,
+        help="version string recorded in outputs (default: catalog value, else 'unspecified')",
     )
 
 
@@ -139,19 +140,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check an ontology file parses into a valid DAG")
-    _add_ontology_options(p, required=True)
+    _add_ontology_options(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("term-sim", help="similarity between two terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    _add_ontology_options(p, required=True)
-    _add_similarity_options(p)
+    _add_ontology_options(p)
+    _add_scoring_options(p)
     p.set_defaults(func=cmd_term_sim)
 
     p = sub.add_parser("matrix", help="pairwise similarity matrix over all annotated catalog terms")
-    _add_ontology_options(p, required=True)
-    _add_similarity_options(p)
+    _add_ontology_options(p)
+    _add_scoring_options(p)
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True, help="annotation catalog JSON")
     p.add_argument("--distance", action="store_true", help="emit 1 - similarity instead")
@@ -161,8 +162,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doss", help="dataset-to-dataset similarity")
     p.add_argument("dataset1", help="source dataset id")
     p.add_argument("dataset2", help="reference dataset id")
-    _add_ontology_options(p, required=True)
-    _add_similarity_options(p)
+    _add_ontology_options(p)
+    _add_scoring_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True)
     p.add_argument("--agg", choices=tuple(AGGREGATORS), default=DEFAULT_AGGREGATOR, help="summarising function (default mean)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -170,8 +171,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_doss)
 
     p = sub.add_parser("doss-matrix", help="dataset similarity matrix over the whole catalog")
-    _add_ontology_options(p, required=True)
-    _add_similarity_options(p)
+    _add_ontology_options(p)
+    _add_scoring_options(p)
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True)
     p.add_argument("--agg", choices=tuple(AGGREGATORS), default=DEFAULT_AGGREGATOR)
@@ -191,7 +192,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="rank labels and synonyms against a query string")
     p.add_argument("query")
-    _add_ontology_options(p, required=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--labels", metavar="PATH", help="labels TSV: id<TAB>label[<TAB>synonym]*")
+    source.add_argument("--ontology-obo", metavar="PATH", help="OBO-format ontology subset: ranks its names and synonyms")
     p.add_argument("--top", type=_positive_int, default=10, metavar="K", help="maximum matches to print (default 10)")
     p.set_defaults(func=cmd_search)
 
@@ -222,17 +225,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_graph(args) -> tuple[OntologyGraph, LabelTable, ParseReport]:
-    if args.ontology_edges:
-        with open(args.ontology_edges, encoding="utf-8-sig") as fh:
-            terms, edges, report = parse_edge_list(fh)
-        labels: LabelTable = {}
-        if args.labels:
-            with open(args.labels, encoding="utf-8-sig") as fh:
-                labels, label_report = parse_labels(fh)
-            report.warnings.extend(label_report.warnings)
-    else:
+    if args.ontology_obo is not None:
         with open(args.ontology_obo, encoding="utf-8-sig") as fh:
             terms, edges, labels, report = parse_obo_subset(fh)
+    else:
+        with open(args.ontology_edges, encoding="utf-8-sig") as fh:
+            terms, edges, report = parse_edge_list(fh)
+        labels = {}
     return build_ontology(terms, edges), labels, report
 
 
@@ -247,7 +246,7 @@ def _params(args) -> SimilarityParams:
 
 
 def _version(args, catalog: AnnotationCatalog | None = None) -> str:
-    if getattr(args, "ontology_version", None):
+    if args.ontology_version:
         return args.ontology_version
     if catalog is not None:
         return catalog.ontology_version
@@ -366,7 +365,7 @@ def cmd_stats(args) -> int:
     with _out_stream(args.out) as fh:
         if args.format == "json":
             payload = {
-                "ontology_version": _version(args, catalog),
+                "ontology_version": catalog.ontology_version,
                 "datasets": [
                     {
                         "id": row.dataset_id,
@@ -388,7 +387,7 @@ def cmd_stats(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
-            fh.write(f"# ontology_version: {_version(args, catalog)}\n")
+            fh.write(f"# ontology_version: {catalog.ontology_version}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"])
             for ds, row in rows:
@@ -410,7 +409,7 @@ def cmd_terms(args) -> int:
     with _out_stream(args.out) as fh:
         if args.format == "json":
             payload = {
-                "ontology_version": _version(args, catalog),
+                "ontology_version": catalog.ontology_version,
                 "terms": [
                     {
                         "term": row.term,
@@ -424,7 +423,7 @@ def cmd_terms(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
-            fh.write(f"# ontology_version: {_version(args, catalog)}\n")
+            fh.write(f"# ontology_version: {catalog.ontology_version}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["term", "dataset_count", "unique_name_count", "example_names"])
             for row in rows:
@@ -433,15 +432,13 @@ def cmd_terms(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.labels:
+    if args.ontology_obo is None:
         with open(args.labels, encoding="utf-8-sig") as fh:
             labels, report = parse_labels(fh)
         _print_warnings(report)
-    elif args.ontology_obo:
-        _, labels, _ = _load_graph(args)
     else:
-        print("error: search needs --labels or --ontology-obo", file=sys.stderr)
-        return EXIT_USAGE
+        # building the graph is the check that the OBO is a DAG with unique ids
+        _, labels, _ = _load_graph(args)
     for match in search_labels(labels, args.query, args.top):
         print(f"{match.term}\t{match.label}\t{match.score:.6f}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Mapping, Sequence
 
 from . import matrixio
-from .catalog import AnnotationCatalog, term_set
+from .catalog import AnnotationCatalog, catalog_terms, term_set
 from .errors import EmptyTermSet
 from .ontology import OntologyGraph
 from .similarity import SimilarityParams, sim_rows
@@ -159,7 +159,7 @@ def doss_matrix(
             term_lists.append(terms)
         else:
             excluded.append(ds.id)
-    all_terms = sorted({t for terms in term_lists for t in terms})
+    all_terms = catalog_terms(catalog)
 
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)

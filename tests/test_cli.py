@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import re
 
 import pytest
 
-from ontosim.cli import main
+from ontosim.cli import build_arg_parser, main
 from conftest import FIXTURES, TOY_EDGES
 
 TOY_EDGES_PATH = str(FIXTURES / "toy_edges.tsv")
@@ -414,8 +415,9 @@ class TestSearch:
         assert out.splitlines()[0].split("\t")[0] == "X:002"
 
     def test_requires_a_label_source(self, capsys):
-        code, _, err = run(capsys, "search", "age")
-        assert code == 64
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "age"])
+        assert exc.value.code == 64
 
     def test_labels_tsv_alone_feeds_search(self, capsys):
         _, out, _ = run(
@@ -423,28 +425,96 @@ class TestSearch:
         )
         assert out.splitlines()[0].split("\t")[0] == "c"
 
-
-class TestGraphCommandsValidateLabels:
-    """Only search reads --labels; the graph commands still parse and check it."""
-
-    def test_validate_prints_duplicate_label_warning(self, capsys, tmp_path):
+    def test_prints_duplicate_label_warning(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("a\tfirst\na\tsecond\n", encoding="utf-8")
-        assert run(capsys, "validate", "--ontology-edges", TOY_EDGES_PATH, "--labels", str(path)) == (
-            0,
-            "4 terms, 3 edges\n",
-            "warning: line 2: duplicate label entry for a; keeping the later one\n",
-        )
+        code, out, err = run(capsys, "search", "second", "--labels", str(path))
+        assert code == 0
+        assert out.startswith("a\tsecond\t")
+        assert err == "warning: line 2: duplicate label entry for a; keeping the later one\n"
 
-    def test_matrix_rejects_malformed_labels_with_line_number(self, capsys, tmp_path):
+    def test_rejects_malformed_labels_with_line_number(self, capsys, tmp_path):
         path = tmp_path / "malformed.tsv"
         path.write_text("a\tAge\nb\t\n", encoding="utf-8")
-        code, out, err = run(
-            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
-            "--labels", str(path),
-        )
+        code, out, err = run(capsys, "search", "a", "--labels", str(path))
         assert (code, out) == (1, "")
         assert err == "error: line 2: expected id<TAB>label[<TAB>synonym]*, got 'b\\t'\n"
+
+    # the graph is built only to check the OBO: a DAG with unique ids
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n", 2),
+            ("[Term]\nid: X:1\nname: one\n\n[Term]\nid: X:1\nname: again\n", 1),
+        ],
+        ids=["cycle", "duplicate-id"],
+    )
+    def test_obo_source_is_checked(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "bad.obo"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "search", "one", "--ontology-obo", str(path))
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ")
+
+
+ONTOLOGY = ["--ontology-edges", "--ontology-obo"]
+SCORING = ["--alpha", "--beta", "--symmetrize", "--ontology-version"]
+OUTPUT = ["--format", "--out"]
+
+
+class TestOptionSurface:
+    """Each subcommand accepts exactly the options it reads."""
+
+    EXPECTED = {
+        "validate": ONTOLOGY,
+        "term-sim": ONTOLOGY + SCORING,
+        "matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--distance", "--workers"],
+        "doss": ONTOLOGY + SCORING + ["--catalog", "--agg", "--format", "--verbose"],
+        "doss-matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--agg", "--workers"],
+        "stats": ["--catalog"] + OUTPUT,
+        "terms": ["--catalog", "--top"] + OUTPUT,
+        "search": ["--labels", "--ontology-obo", "--top"],
+    }
+
+    def test_options_per_subcommand(self):
+        parser = build_arg_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: sorted(
+                option
+                for action in command._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings
+            )
+            for name, command in sub.choices.items()
+        }
+        assert surface == {name: sorted(options) for name, options in self.EXPECTED.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--ontology-edges", TOY_EDGES_PATH, "--labels", TOY_LABELS_PATH],
+            ["validate", "--ontology-edges", TOY_EDGES_PATH, "--ontology-version", "v"],
+            ["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, "--labels", TOY_LABELS_PATH],
+            ["matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH, "--labels", TOY_LABELS_PATH],
+            ["doss", "D1", "D2", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+             "--labels", TOY_LABELS_PATH],
+            ["doss-matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+             "--labels", TOY_LABELS_PATH],
+            ["search", "a", "--ontology-edges", TOY_EDGES_PATH],
+            ["search", "a", "--labels", TOY_LABELS_PATH, "--ontology-version", "v"],
+            ["search", "a", "--labels", TOY_LABELS_PATH, "--ontology-obo", MINI_OBO_PATH],
+        ],
+        ids=[
+            "validate-labels", "validate-version", "term-sim-labels", "matrix-labels", "doss-labels",
+            "doss-matrix-labels", "search-edges", "search-version", "search-both-sources",
+        ],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:
@@ -474,7 +544,7 @@ class TestUsageErrors:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
-    @pytest.mark.parametrize("value", ["1e308", "1e-300"])
+    @pytest.mark.parametrize("value", ["1e308", "1e-300", "-1", "nan"])
     def test_weight_outside_the_domain_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, flag, value])
@@ -499,6 +569,27 @@ class TestOntologyVersionEcho:
             "--ontology-version", "release-7",
         )
         assert "# ontology_version: release-7" in out
+
+    def test_flag_with_a_line_break_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+                "--ontology-version", "rel-1\nb,c",
+            ])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not contain a line break" in captured.err
+
+    def test_catalog_value_with_a_line_break_rejected(self, capsys, tmp_path):
+        # a line break would split the CSV comment line into a bare "b,c" row
+        catalog = json.loads((FIXTURES / "toy_catalog.json").read_text(encoding="utf-8"))
+        catalog["ontology_version"] = "rel-1\nb,c"
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        code, out, err = run(capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: $.ontology_version: must not contain a line break\n"
 
 
 class TestInputEncoding:
