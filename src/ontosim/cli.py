@@ -435,10 +435,10 @@ def cmd_search(args) -> int:
     if args.ontology_obo is None:
         with open(args.labels, encoding="utf-8-sig") as fh:
             labels, report = parse_labels(fh)
-        _print_warnings(report)
     else:
         # building the graph is the check that the OBO is a DAG with unique ids
-        _, labels, _ = _load_graph(args)
+        _, labels, report = _load_graph(args)
+    _print_warnings(report)
     for match in search_labels(labels, args.query, args.top):
         print(f"{match.term}\t{match.label}\t{match.score:.6f}")
     return EXIT_OK

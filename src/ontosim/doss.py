@@ -164,8 +164,11 @@ def doss_matrix(
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)
     indexes = [[position[t] for t in terms] for terms in term_lists]
-    # best[j][s]: the best score of term s against reference j, taken once
-    best = [[max([row[r] for r in reference]) for row in term_matrix] for reference in indexes]
+    # best[j][s]: the best score of term s against reference j, taken once.
+    # columns[r][s] is term_matrix[s][r]; the first column is repeated so
+    # that a one-term reference still gives max two arguments.
+    columns = list(zip(*term_matrix))
+    best = [list(map(max, columns[ref[0]], *[columns[r] for r in ref])) for ref in indexes]
     values = tuple(
         tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes
     )

@@ -68,15 +68,23 @@ def sim_rows(
     configured policy: one tuple per row, in column order.
 
     This is the only place the ratio is evaluated. Each term's closure and
-    theta are read once and each pair's psi is computed once; under
-    mean-of-directions both directions come from that one (theta1, theta2,
-    psi) triple. UnknownTerm names every unknown id once, rows first.
+    theta are read once and each pair's psi is computed once. A score
+    depends on nothing but the (theta1, theta2, psi) triple, so each
+    distinct triple is scored once per call and its score reused for every
+    pair that shares it; under mean-of-directions both directions come
+    from that one triple. UnknownTerm names every unknown id once, rows
+    first.
     """
     alpha, beta = params.alpha, params.beta
     mean = params.symmetrization == SYMMETRIZE_MEAN
 
     def ratio(theta1: int, theta2: int, psi: int) -> float:
         return theta1 / (alpha * (theta1 - psi) + beta * (theta2 - psi) + theta1)
+
+    def score(theta1: int, theta2: int, psi: int) -> float:
+        if mean:
+            return (ratio(theta1, theta2, psi) + ratio(theta2, theta1, psi)) / 2.0
+        return ratio(theta1, theta2, psi)
 
     # A square mean-of-directions matrix is symmetric and float + commutes,
     # so the lower triangle is copied from the upper one bit for bit.
@@ -100,17 +108,20 @@ def sim_rows(
     row_masks = [project(closure) for closure in row_closures]
     col_masks = row_masks if square else [project(closure) for closure in col_closures]
     col_thetas = [len(closure) for closure in col_closures]
+    scores: dict[tuple[int, int, int], float] = {}
+    get = scores.get
     out = []
     for i, (mask1, closure1) in enumerate(zip(row_masks, row_closures)):
         theta1 = len(closure1)
         done = i if square else 0
         row = [out[j][i] for j in range(done)]
+        append = row.append
         for mask2, theta2 in zip(col_masks[done:], col_thetas[done:]):
-            psi = (mask1 & mask2).bit_count()
-            score = ratio(theta1, theta2, psi)
-            if mean:
-                score = (score + ratio(theta2, theta1, psi)) / 2.0
-            row.append(score)
+            key = (theta1, theta2, (mask1 & mask2).bit_count())
+            value = get(key)
+            if value is None:
+                value = scores[key] = score(*key)
+            append(value)
         out.append(tuple(row))
     return out
 

@@ -8,6 +8,8 @@ agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 
@@ -58,3 +60,15 @@ def random_pairs(rng: random.Random, ids: list[str], count: int) -> list[tuple[s
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
     pairs.append((ids[0], ids[0]))  # always exercise the identity case
     return pairs
+
+
+def reference_csv(labels, values, metadata):
+    """The matrix as a plain csv.writer renders it, one formatted cell at a time."""
+    buf = io.StringIO()
+    for key, value in metadata.items():
+        buf.write(f"# {key}: {value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["", *labels])
+    for label, row in zip(labels, values):
+        writer.writerow([label, *(f"{cell:.6f}" for cell in row)])
+    return buf.getvalue()

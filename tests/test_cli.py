@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import re
@@ -414,6 +415,16 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[0].split("\t")[0] == "X:002"
 
+    def test_obo_source_prints_parse_warnings(self, capsys):
+        code, out, err = run(capsys, "search", "thing", "--ontology-obo", MINI_OBO_PATH)
+        assert code == 0
+        assert out == (
+            "X:001\troot thing\t0.500000\n"
+            "X:003\tleaf thing\t0.500000\n"
+            "X:002\tmiddle thing\t0.416667\n"
+        )
+        assert err == "warning: line 20: skipped obsolete term X:900\n"
+
     def test_requires_a_label_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "age"])
@@ -455,6 +466,28 @@ class TestSearch:
         code, out, err = run(capsys, "search", "one", "--ontology-obo", str(path))
         assert (code, out) == (expected, "")
         assert err.startswith("error: ")
+
+
+class TestPinnedOutput:
+    """The healthcare matrices' stdout, byte for byte: a faster kernel, DOSS
+    fold or writer must not move a single character."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["matrix"], "fdcf38edcd0243ff906ce71578740891abde8fdafaf95271faa9bb0e6006e599"),
+            (["doss-matrix"], "448309ea3b4498b88a20b881f36eaf4172b2f2c00b6c307ac1ab643dae09f12b"),
+            (
+                ["matrix", "--symmetrize", "as-printed", "--alpha", "2", "--beta", "0.5"],
+                "7461ae08774edbbf2c8abf8f5aaf8701cce35203bf855300b664b4492824e2ab",
+            ),
+        ],
+        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5"],
+    )
+    def test_healthcare_stdout_sha256(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv, "--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 ONTOLOGY = ["--ontology-edges", "--ontology-obo"]

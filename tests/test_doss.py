@@ -1,5 +1,6 @@
 """Dataset-to-dataset similarity: values, properties, matrices."""
 
+import io
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ontosim import (
     AGGREGATORS,
     EmptyTermSet,
+    SimilarityMatrix,
     SimilarityParams,
     UnknownDataset,
     UnknownTerm,
@@ -19,7 +21,7 @@ from ontosim import (
     term_set,
 )
 from conftest import DOSS_TOY
-from helpers import random_dag
+from helpers import random_dag, reference_csv
 
 
 def make_catalog(term_sets: dict[str, list[str]]):
@@ -215,6 +217,30 @@ class TestDossMatrix:
                     for j, ref in enumerate(m.dataset_ids):
                         expected = doss(graph, default_params, catalog, src, ref, aggregator).value
                         assert m.values[i][j] == expected
+
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    def test_one_term_reference_and_equal_term_sets(self, toy_graph, policy):
+        # ONE is a one-term reference; P and Q hold the same term set
+        params = SimilarityParams(symmetrization=policy)
+        catalog = make_catalog({"P": ["a", "c"], "ONE": ["b"], "Q": ["c", "a"], "R": ["r", "b", "c"]})
+        for aggregator in AGGREGATORS:
+            m = doss_matrix(toy_graph, params, catalog, aggregator)
+            assert m.dataset_ids == ("P", "ONE", "Q", "R")
+            expected = tuple(
+                tuple(doss(toy_graph, params, catalog, src, ref, aggregator).value for ref in m.dataset_ids)
+                for src in m.dataset_ids
+            )
+            assert m.values == expected
+            assert m.values[0] == m.values[2]
+
+    def test_csv_with_awkward_dataset_ids(self, toy_graph, default_params):
+        catalog = make_catalog({"D,1": ["a", "b"], 'D"2': ["c"], "plain": ["r"]})
+        m = doss_matrix(toy_graph, default_params, catalog)
+        buf = io.StringIO()
+        m.to_csv(buf, {"aggregator": "mean"})
+        assert buf.getvalue() == reference_csv(m.dataset_ids, m.values, {"aggregator": "mean"})
+        parsed = SimilarityMatrix.from_csv(io.StringIO(buf.getvalue()))
+        assert parsed.terms == ("D,1", 'D"2', "plain")
 
 
 class TestCorrelationTendency:

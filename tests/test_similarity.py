@@ -30,7 +30,7 @@ from conftest import (
     TOY_EDGES,
     TOY_TERMS,
 )
-from helpers import DfsOracle, random_dag, random_pairs
+from helpers import DfsOracle, random_dag, random_pairs, reference_csv
 
 
 class TestDirectedForm:
@@ -270,6 +270,63 @@ class TestKernel:
                 else:
                     expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
                 assert row == expected
+
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    @pytest.mark.parametrize("alpha, beta", [(7.9, 3.9), (2, 0.5), (0, 3), (3, 0)])
+    def test_scores_keyed_by_the_whole_triple(self, policy, alpha, beta):
+        # chain r <- a <- b <- c and x <- y beside it under r: the rows a, b, c
+        # differ only in theta1 against each column, the columns only in theta2
+        g = build_ontology(
+            ["r", "a", "b", "c", "x", "y"],
+            [("a", "r"), ("b", "a"), ("c", "b"), ("x", "r"), ("y", "x")],
+        )
+        params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
+        rows, cols = ["a", "b", "c"], ["x", "y", "x"]
+        assert {(g.theta("x"), g.psi(t1, "x")) for t1 in rows} == {(2, 1)}
+        assert [g.theta(t) for t in rows] == [2, 3, 4]
+
+        def directed(t1, t2):
+            theta1, theta2, psi = g.theta(t1), g.theta(t2), g.psi(t1, t2)
+            return theta1 / (alpha * (theta1 - psi) + beta * (theta2 - psi) + theta1)
+
+        got = sim_rows(g, params, rows, cols)
+        for t1, row in zip(rows, got):
+            if policy == "as-printed":
+                expected = tuple(directed(t1, t2) for t2 in cols)
+            else:
+                expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
+            assert row == expected
+        # the three rows share (theta2, psi) against x, yet score apart
+        assert len({row[0] for row in got}) == 3
+
+
+# labels csv must quote (comma, quote, line break) and labels it leaves bare
+# that a reader could trip on (a leading # or space)
+AWKWARD_LABELS = ("a,b", 'q"x', "two\nlines", "#hash", " lead", "plain")
+
+
+class TestMatrixCsv:
+    def test_awkward_labels_match_csv_writer_and_read_back(self, default_params):
+        g = build_ontology(
+            ["r", *AWKWARD_LABELS],
+            [("a,b", "r"), ('q"x', "a,b"), ("two\nlines", "r"), ("#hash", 'q"x'), (" lead", "r"), ("plain", " lead")],
+        )
+        m = pairwise_matrix(g, default_params, AWKWARD_LABELS)
+        metadata = {"ontology_version": "v1", "kind": "similarity"}
+        buf = io.StringIO()
+        m.to_csv(buf, metadata)
+        assert buf.getvalue() == reference_csv(m.terms, m.values, metadata)
+        parsed = SimilarityMatrix.from_csv(io.StringIO(buf.getvalue()))
+        assert parsed.terms == AWKWARD_LABELS
+        assert parsed.values == tuple(tuple(float(f"{cell:.6f}") for cell in row) for row in m.values)
+
+    def test_repeated_and_distinct_values(self):
+        # values that share a text, values that differ below the printed precision
+        values = ((1.0, 0.1234564, 0.1234566), (0.1234564, 1.0, 0.5), (0.5, 0.1234566, 1.0))
+        m = SimilarityMatrix(("x", "y", "z"), values)
+        buf = io.StringIO()
+        m.to_csv(buf)
+        assert buf.getvalue() == reference_csv(m.terms, values, {})
 
 
 class TestNearestTerms:
