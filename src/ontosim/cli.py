@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from typing import IO, Iterator
@@ -49,6 +48,7 @@ from .errors import (
     UnknownTerm,
 )
 from .ingest import LabelTable, ParseReport, parse_edge_list, parse_labels, parse_obo_subset
+from .matrixio import csv_line
 from .ontology import OntologyGraph, build_ontology
 from .similarity import (
     MAX_WEIGHT,
@@ -388,13 +388,11 @@ def cmd_stats(args) -> int:
             fh.write("\n")
         else:
             fh.write(f"# ontology_version: {catalog.ontology_version}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"])
+            fh.write(csv_line(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"]))
             for ds, row in rows:
-                writer.writerow(
-                    [ds.id, ds.name, ",".join(ds.origin), ds.category,
-                     row.feature_count, row.annotated_count, f"{row.coverage_fraction:.6f}"]
-                )
+                fields = [ds.id, ds.name, ",".join(ds.origin), ds.category,
+                          row.feature_count, row.annotated_count, f"{row.coverage_fraction:.6f}"]
+                fh.write(csv_line(fields))
             fh.write(f"# distinct_feature_names: {stats.distinct_feature_name_count}\n")
             fh.write(f"# distinct_terms: {stats.distinct_term_count}\n")
             fh.write(f"# global_coverage: {stats.global_coverage_fraction:.6f}\n")
@@ -424,10 +422,9 @@ def cmd_terms(args) -> int:
             fh.write("\n")
         else:
             fh.write(f"# ontology_version: {catalog.ontology_version}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["term", "dataset_count", "unique_name_count", "example_names"])
+            fh.write(csv_line(["term", "dataset_count", "unique_name_count", "example_names"]))
             for row in rows:
-                writer.writerow([row.term, row.dataset_count, row.unique_name_count, ", ".join(row.example_names)])
+                fh.write(csv_line([row.term, row.dataset_count, row.unique_name_count, ", ".join(row.example_names)]))
     return EXIT_OK
 
 

@@ -37,22 +37,34 @@ class ParseReport:
 
 
 def parse_edge_list(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, str]], ParseReport]:
-    """Parse ``child<TAB>parent`` rows; terms are the union of endpoints."""
-    terms: dict[str, None] = {}
+    """Parse ``child<TAB>parent`` rows; terms are the union of endpoints.
+
+    Each id is one string: every edge endpoint is the very object that the
+    returned term list holds, so a large ontology keeps no copy per edge.
+    """
+    # id -> itself; setdefault returns the first string seen for an id
+    terms: dict[str, str] = {}
+    intern = terms.setdefault
     edges: list[tuple[str, str]] = []
+    append = edges.append
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
+        # an edge is exactly two fields, both non-empty once stripped, and the
+        # first not a comment; strip() also drops the line ending, which only
+        # the last field can carry
+        fields = raw.split("\t")
+        if len(fields) == 2:
+            child = fields[0].strip()
+            parent = fields[1].strip()
+            if child and parent and child[0] != "#":
+                append((intern(child, child), intern(parent, parent)))
+                continue
+        # every other line is blank, a comment or malformed
         line = raw.rstrip("\r\n")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise MalformedLine(f"expected child<TAB>parent, got {line!r}", line=lineno)
-        child, parent = fields
-        terms.setdefault(child)
-        terms.setdefault(parent)
-        edges.append((child, parent))
+        raise MalformedLine(f"expected child<TAB>parent, got {line!r}", line=lineno)
     if not edges:
         raise EmptyInput("no edges found in edge-list input")
     report.term_count = len(terms)

@@ -7,8 +7,9 @@ bytes are platform-independent.
 
 Each distinct value is formatted once and its text reused for every cell
 that holds it (0.0 and -0.0 count as one value; no score is -0.0). Labels
-keep the csv module's quoting, one label at a time, so a label with a
-comma, a quote, a line break or a leading ``#`` is written as csv writes it.
+are quoted by :func:`csv_line`, one label at a time, so a label with a
+comma, a quote, a line break (``\\r`` included) or a leading ``#`` reads
+back as itself.
 """
 
 from __future__ import annotations
@@ -28,21 +29,24 @@ def write_matrix_csv(
     if metadata:
         for key, value in metadata.items():
             stream.write(f"# {key}: {value}\n")
-    csv.writer(stream, lineterminator="\n").writerow(["", *labels])
+    stream.write(csv_line(["", *labels]))
     text = {cell: f"{cell:.6f}" for cell in set(chain.from_iterable(values))}
     for label, row in zip(labels, values):
-        stream.write(f"{_first_cell(label)}{','.join(map(text.__getitem__, row))}\n")
+        # the label's cell with the comma after it, then the formatted values
+        stream.write(f"{csv_line((label, ''))[:-1]}{','.join(map(text.__getitem__, row))}\n")
 
 
-def _first_cell(label: str) -> str:
-    """The label as csv writes it at the start of a row, with the comma after it.
+def csv_line(fields: Iterable[object]) -> str:
+    """One csv row ending in ``\\n``, as every csv file ontosim writes it.
 
-    The line terminator must be the header's: csv quotes a field that holds
-    any of its characters, so a label with a line break is quoted only then.
+    csv quotes a field that holds any character of its line terminator, so
+    the quoting is decided with ``\\r\\n``: a field holding a bare ``\\r``
+    is quoted as one holding ``\\n`` is, and reads back whole. That
+    terminator is then swapped for ``\\n``.
     """
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((label, ""))
-    return buffer.getvalue()[:-1]
+    csv.writer(buffer, lineterminator="\r\n").writerow(fields)
+    return buffer.getvalue()[:-2] + "\n"
 
 
 def read_matrix_csv(lines: Iterable[str]) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:

@@ -11,6 +11,7 @@ the call needs.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, UnknownTerm
@@ -129,33 +130,55 @@ def build_ontology(terms: Iterable[TermId], edges: Iterable[tuple[str, str]]) ->
     endpoints were never declared raise :class:`DanglingEdgeEndpoint`, and
     any directed cycle raises :class:`CycleDetected` with one offending
     closed path.
-    """
-    index: dict[str, int] = {}
-    for term_id in terms:
-        if not isinstance(term_id, str) or not term_id:
-            raise ValueError("term ids must be non-empty strings")
-        if term_id in index:
-            raise DuplicateTermId(term_id)
-        index[term_id] = len(index)
 
-    ids = tuple(index)
-    parents: list[list[int]] = [[] for _ in ids]
+    ``terms`` and ``edges`` may be any iterables, generators included; each
+    is read once. A node's parents are kept as a tuple of node indexes in
+    first-declaration order, repeats dropped.
+    """
+    ids = tuple(terms)
+    index: dict[str, int] = {}
+    # every id is typed before any is hashed, so an unhashable one is a
+    # ValueError too; a repeated id leaves the index short
+    if all(map(isinstance, ids, repeat(str))) and "" not in ids:
+        index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        # input that is not clean: raise the first offending id's error
+        index = {}
+        for term_id in ids:
+            if not isinstance(term_id, str) or not term_id:
+                raise ValueError("term ids must be non-empty strings")
+            if term_id in index:
+                raise DuplicateTermId(term_id)
+            index[term_id] = len(index)
+
+    # a node's parents: () or a 1-tuple, until a second distinct parent turns
+    # them into an insertion-ordered dict, which drops repeats in O(1)
+    parents: list[tuple[int, ...] | dict[int, None]] = [()] * len(ids)
+    grown: list[int] = []
     dangling: dict[str, None] = {}
     for child, parent in edges:
         child_node = index.get(child)
         parent_node = index.get(parent)
-        if child_node is None:
-            dangling.setdefault(child)
-        if parent_node is None:
-            dangling.setdefault(parent)
         if child_node is None or parent_node is None:
+            if child_node is None:
+                dangling.setdefault(child)
+            if parent_node is None:
+                dangling.setdefault(parent)
             continue
-        parents[child_node].append(parent_node)
+        held = parents[child_node]
+        if not held:
+            parents[child_node] = (parent_node,)
+        elif type(held) is dict:
+            held[parent_node] = None
+        elif held[0] != parent_node:
+            parents[child_node] = {held[0]: None, parent_node: None}
+            grown.append(child_node)
     if dangling:
         raise DanglingEdgeEndpoint(dangling)
 
-    # dict.fromkeys drops repeated edges and keeps first-occurrence order
-    frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
+    for node in grown:
+        parents[node] = tuple(parents[node])
+    frozen = tuple(parents)
     _ensure_acyclic(ids, frozen)
     return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
 

@@ -4,6 +4,10 @@ DfsOracle recomputes ancestor sets from the raw edge list with a fresh DFS on
 every query. It shares no code with the production closure (which memoises
 tuples of node indexes and packs them into bitmasks per kernel call), so
 agreement between the two is meaningful evidence.
+
+reference_parse_edge_list and reference_build_ontology keep the edge-list
+ingest as it was before ids were interned and parents built as tuples, so
+the production pair can be checked against it line for line.
 """
 
 from __future__ import annotations
@@ -11,6 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import random
+
+from ontosim.errors import DanglingEdgeEndpoint, DuplicateTermId, EmptyInput, MalformedLine
+from ontosim.ingest import ParseReport
+from ontosim.ontology import OntologyGraph, _ensure_acyclic
 
 
 class DfsOracle:
@@ -72,3 +80,80 @@ def reference_csv(labels, values, metadata):
     for label, row in zip(labels, values):
         writer.writerow([label, *(f"{cell:.6f}" for cell in row)])
     return buf.getvalue()
+
+
+def reference_parse_edge_list(lines):
+    """parse_edge_list as it was before ids were interned: every line takes
+    the one general path, and each edge holds its own strings."""
+    terms = {}
+    edges = []
+    report = ParseReport()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise MalformedLine(f"expected child<TAB>parent, got {line!r}", line=lineno)
+        child, parent = fields
+        terms.setdefault(child)
+        terms.setdefault(parent)
+        edges.append((child, parent))
+    if not edges:
+        raise EmptyInput("no edges found in edge-list input")
+    report.term_count = len(terms)
+    report.edge_count = len(edges)
+    return list(terms), edges, report
+
+
+def reference_build_ontology(terms, edges):
+    """build_ontology as it was before parents were built as tuples: a list
+    per node, frozen with dict.fromkeys in a second pass."""
+    index = {}
+    for term_id in terms:
+        if not isinstance(term_id, str) or not term_id:
+            raise ValueError("term ids must be non-empty strings")
+        if term_id in index:
+            raise DuplicateTermId(term_id)
+        index[term_id] = len(index)
+    ids = tuple(index)
+    parents = [[] for _ in ids]
+    dangling = {}
+    for child, parent in edges:
+        child_node = index.get(child)
+        parent_node = index.get(parent)
+        if child_node is None:
+            dangling.setdefault(child)
+        if parent_node is None:
+            dangling.setdefault(parent)
+        if child_node is None or parent_node is None:
+            continue
+        parents[child_node].append(parent_node)
+    if dangling:
+        raise DanglingEdgeEndpoint(dangling)
+    frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
+    _ensure_acyclic(ids, frozen)
+    return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
+
+
+def outcome(call, *args):
+    """The call's result, or its exception as (type, str, line) so that two
+    implementations' failures compare equal when they say the same thing."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def shape(result):
+    """A build's outcome in comparable form: ids, parents, edge count and
+    every ancestor set, or an outcome() exception tuple as it is."""
+    if not isinstance(result, OntologyGraph):
+        return result
+    return (
+        result.terms,
+        [result.parents(t) for t in result.terms],
+        result.edge_count,
+        [result.ancestors(t) for t in result.terms],
+    )

@@ -10,6 +10,7 @@ import re
 import pytest
 
 from ontosim.cli import build_arg_parser, main
+from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
 
 TOY_EDGES_PATH = str(FIXTURES / "toy_edges.tsv")
@@ -624,6 +625,28 @@ class TestOntologyVersionEcho:
         assert (code, out) == (1, "")
         assert err == "error: $.ontology_version: must not contain a line break\n"
 
+
+
+class TestCsvQuoting:
+    def test_carriage_return_in_a_dataset_id_is_quoted(self, capsys, tmp_path):
+        # a JSON "\r" escape reaches the writers; csv left it bare, so the
+        # matrix did not read back
+        catalog = json.loads((FIXTURES / "toy_catalog.json").read_text(encoding="utf-8"))
+        catalog["datasets"][0]["id"] = "x\ry"
+        path, target = tmp_path / "cat.json", tmp_path / "doss.csv"
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        code, out, err = run(
+            capsys, "doss-matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", str(path), "--out", str(target)
+        )
+        assert (code, out, err) == (0, "", "excluded (no annotated terms): DE\n")
+        with open(target, encoding="utf-8", newline="") as fh:
+            labels, values = read_matrix_csv(fh)
+        assert labels == ("x\ry", "D2", "DS")
+        assert values[0][0] == 1.0
+        code, out, _ = run(capsys, "stats", "--catalog", str(path))
+        assert code == 0
+        assert '\n"x\ry",pair,unit,EHR,' in out
+        assert read_csv_rows(out)[1][0] == "x\ry"
 
 class TestInputEncoding:
     @pytest.mark.parametrize(

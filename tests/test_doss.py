@@ -20,6 +20,7 @@ from ontosim import (
     sim_rm,
     term_set,
 )
+from ontosim.matrixio import read_matrix_csv
 from conftest import DOSS_TOY
 from helpers import random_dag, reference_csv
 
@@ -242,6 +243,16 @@ class TestDossMatrix:
         parsed = SimilarityMatrix.from_csv(io.StringIO(buf.getvalue()))
         assert parsed.terms == ("D,1", 'D"2', "plain")
 
+
+    def test_csv_with_a_carriage_return_in_a_dataset_id(self, toy_graph, default_params):
+        catalog = make_catalog({"x\ry": ["a", "b"], "plain": ["c"]})
+        m = doss_matrix(toy_graph, default_params, catalog)
+        buf = io.StringIO()
+        m.to_csv(buf)
+        assert buf.getvalue().startswith(',"x\ry",plain\n"x\ry",1.000000,')
+        labels, values = read_matrix_csv(io.StringIO(buf.getvalue()))
+        assert labels == ("x\ry", "plain")
+        assert values == tuple(tuple(float(f"{cell:.6f}") for cell in row) for row in m.values)
 
 class TestCorrelationTendency:
     def test_doss_tracks_shared_term_count(self, default_params):

@@ -18,6 +18,7 @@ from ontosim import (
 )
 from ontosim.cli import main
 from conftest import FIXTURES
+from helpers import outcome, reference_parse_edge_list
 
 
 class TestEdgeList:
@@ -64,6 +65,82 @@ class TestEdgeList:
         declared = set(terms)
         assert all(c in declared and p in declared for c, p in edges)
 
+
+# one awkward line each; every one is parsed alone and between two edges
+AWKWARD_EDGE_LINES = {
+    "spaces around fields": "  a \t b  \n",
+    "tabs around the pair": "\ta\tb\t\n",
+    "leading tab": "\ta\tb\n",
+    "trailing tab": "a\tb\t\n",
+    "trailing space after a tab": "a\tb\t \n",
+    "comment after spaces": "   # note\n",
+    "comment after a tab": "\t# note\n",
+    "comment holding a tab": "#a\tb\n",
+    "comment marker after spaces in a pair": "  #a\tb\n",
+    "hash inside the parent": "a\t#b\n",
+    "hash inside the child": "a#\tb\n",
+    "crlf": "a\tb\r\n",
+    "bare cr ending": "a\tb\r",
+    "cr inside the child": "a\rx\tb\n",
+    "cr inside the parent": "a\tb\rx\n",
+    "no line ending": "a\tb",
+    "three fields": "a\tb\tc\n",
+    "empty child": "\tb\n",
+    "empty parent": "a\t\n",
+    "blank parent": "a\t  \r\n",
+    "blank child": " \tb\n",
+    "no tab": "a b\n",
+    "empty line": "\n",
+    "empty string": "",
+    "spaces only": "   \n",
+    "tab only": "\t\n",
+    "tabs and spaces only": " \t \t\r\n",
+    "unicode whitespace": "\u00a0a\u2003\tb\x85\n",
+    "vertical tab and form feed": "\x0ba\t\x0cb\n",
+    "internal space kept": "a b\tc d\n",
+    "self edge": "a\ta\n",
+}
+
+
+class TestEdgeListParity:
+    """parse_edge_list against the pre-interning parser kept in helpers."""
+
+    @pytest.mark.parametrize("line", AWKWARD_EDGE_LINES.values(), ids=AWKWARD_EDGE_LINES.keys())
+    @pytest.mark.parametrize("where", ["alone", "between edges"])
+    def test_awkward_line(self, line, where):
+        lines = [line] if where == "alone" else ["x\ty\n", line, "y\tz\n", "x\ty\n"]
+        assert outcome(parse_edge_list, lines) == outcome(reference_parse_edge_list, lines)
+
+    def test_every_awkward_line_together(self):
+        lines = list(AWKWARD_EDGE_LINES.values())
+        got = outcome(parse_edge_list, lines)
+        assert got == outcome(reference_parse_edge_list, lines)
+        assert got[0] is MalformedLine and got[2] == 2  # "tabs around the pair"
+
+    def test_valid_awkward_lines_together(self):
+        def parses(line):
+            try:
+                reference_parse_edge_list(["x\ty\n", line])
+            except MalformedLine:
+                return False
+            return True
+
+        lines = [line for line in AWKWARD_EDGE_LINES.values() if parses(line)]
+        assert len(lines) == 21
+        assert parse_edge_list(lines) == reference_parse_edge_list(lines)
+
+    def test_edges_share_the_term_strings(self):
+        text = "".join(f"c{i % 97}\tc{i % 89 + 97}\n" for i in range(1000)) + "  c1\t c2 \r\n"
+        # fresh string objects per line, as a file read yields them
+        terms, edges, _ = parse_edge_list(io.StringIO(text))
+        by_id = {term: term for term in terms}
+        assert len(by_id) == len(terms)
+        assert all(child is by_id[child] and parent is by_id[parent] for child, parent in edges)
+
+    def test_fixture_file(self):
+        with open(FIXTURES / "healthcare_edges.tsv", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert parse_edge_list(lines) == reference_parse_edge_list(lines)
 
 class TestLabels:
     def test_label_with_synonyms(self):

@@ -16,7 +16,7 @@ from ontosim import (
     parse_labels,
 )
 from conftest import TOY_EDGES, TOY_TERMS
-from helpers import DfsOracle, random_dag
+from helpers import DfsOracle, outcome, random_dag, reference_build_ontology, shape
 
 
 class TestBuildValidation:
@@ -93,6 +93,109 @@ class TestBuildValidation:
     def test_labelled_term_spec_rejected(self):
         with pytest.raises(ValueError):
             build_ontology([("r", "Root")], [])
+
+
+def seeded_multi_parent_dag(seed, n=400):
+    """A shuffled DAG where many nodes have 3 or more parents and about a
+    fifth of the edges are repeats, some of them adjacent."""
+    rng = random.Random(seed)
+    ids = [f"t{i}" for i in range(n)]
+    edges = [(ids[i], ids[p]) for i in range(1, n) for p in rng.sample(range(i), min(i, rng.randint(1, 6)))]
+    edges += rng.sample(edges, len(edges) // 5)
+    rng.shuffle(edges)
+    edges += edges[-5:]
+    rng.shuffle(ids)
+    return ids, edges
+
+
+class TestBuildParity:
+    """build_ontology against the list-then-freeze build kept in helpers."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_parents_are_first_occurrence_dedupe(self, seed):
+        ids, edges = seeded_multi_parent_dag(seed)
+        g = build_ontology(ids, edges)
+        declared = {}
+        for child, parent in edges:
+            declared.setdefault(child, []).append(parent)
+        assert sum(len(p) >= 3 for p in declared.values()) > 100
+        assert any(len(p) != len(set(p)) for p in declared.values())
+        for term in ids:
+            assert g.parents(term) == tuple(dict.fromkeys(declared.get(term, ())))
+        assert g.edge_count == len(set(edges))
+        assert shape(g) == shape(reference_build_ontology(ids, edges))
+        assert all(type(p) is tuple for p in g._parents)
+
+    def test_generators_are_read_once(self):
+        ids, edges = seeded_multi_parent_dag(5, n=100)
+        g = build_ontology(iter(ids), (edge for edge in edges))
+        assert shape(g) == shape(reference_build_ontology(ids, edges))
+
+    def test_dangling_endpoints_from_generators_in_order(self):
+        edges = [("a", "x"), ("y", "a"), ("z", "w"), ("x", "a"), ("a", "r")]
+        got = outcome(build_ontology, (t for t in ["r", "a"]), (e for e in edges))
+        assert got == outcome(reference_build_ontology, ["r", "a"], edges)
+        assert got[0] is DanglingEdgeEndpoint
+        with pytest.raises(DanglingEdgeEndpoint) as exc:
+            build_ontology(iter(["r", "a"]), iter(edges))
+        assert exc.value.endpoints == ("x", "y", "z", "w")
+
+    def test_a_node_with_twenty_thousand_parents(self):
+        rng = random.Random(11)
+        parents = [f"p{i}" for i in range(20_000)]
+        edges = [("hub", p) for p in parents] + [("hub", p) for p in rng.sample(parents, 5_000)]
+        rng.shuffle(edges)
+        g = build_ontology(["hub", *parents], edges)
+        assert g.parents("hub") == tuple(dict.fromkeys(p for _, p in edges))
+        assert g.edge_count == 20_000
+        assert g.theta("hub") == 20_001
+
+    @pytest.mark.parametrize(
+        "terms, edges, error",
+        [
+            (["a", "b", "a", "b"], [], DuplicateTermId),
+            (["a", "a", 5], [], DuplicateTermId),
+            (["a", "", "a"], [], ValueError),
+            (["a", 5, "a"], [], ValueError),
+            (["a", None], [], ValueError),
+            (["a", b"b"], [], ValueError),
+            (["a", ["x"]], [], ValueError),
+            (["a", {"x": 1}], [], ValueError),
+            (["a", ("x", "X")], [], ValueError),
+            (["a", "b"], [("a", "x"), ("q", "b"), ("a", "x")], DanglingEdgeEndpoint),
+            (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], CycleDetected),
+            (["a", "b", "c"], [("c", "b"), ("c", "a"), ("b", "a"), ("a", "c")], CycleDetected),
+            (["r"], [("r", "r"), ("r", "r")], CycleDetected),
+        ],
+        ids=[
+            "first-duplicate", "duplicate-before-bad-type", "empty-before-duplicate", "int-before-duplicate",
+            "none", "bytes", "unhashable-list", "unhashable-dict", "tuple-spec", "dangling", "cycle",
+            "cycle-through-multi-parent-node", "self-loop-repeated",
+        ],
+    )
+    def test_errors_match(self, terms, edges, error):
+        got = outcome(build_ontology, terms, edges)
+        assert got == outcome(reference_build_ontology, terms, edges)
+        assert got[0] is error
+
+    def test_cycle_path_matches_on_random_dags(self):
+        rng = random.Random(909)
+        for _ in range(40):
+            ids, edges = seeded_multi_parent_dag(rng.random(), n=30)
+            child, parent = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges)), (parent, child))
+            got = outcome(build_ontology, ids, edges)
+            assert got[0] is CycleDetected
+            assert got == outcome(reference_build_ontology, ids, edges)
+
+    def test_str_subclass_ids_accepted(self):
+        class Code(str):
+            pass
+
+        ids = [Code("r"), Code("a"), Code("b")]
+        g = build_ontology(ids, [("a", "r"), ("b", "a"), ("b", "r"), ("b", "a")])
+        assert g.parents("b") == ("a", "r")
+        assert all(type(t) is Code for t in g.terms)
 
 
 class TestAncestorQueries:

@@ -21,6 +21,7 @@ from ontosim import (
     doss_matrix,
     nearest_terms,
     pairwise_matrix,
+    parse_edge_list,
     sim_rm,
     sim_rm_directed,
     sim_rows,
@@ -29,7 +30,7 @@ from ontosim import (
 from ontosim.cli import main
 from ontosim.similarity import MAX_WEIGHT, MIN_WEIGHT
 from conftest import FIXTURES, TOY_TERMS
-from helpers import DfsOracle
+from helpers import DfsOracle, outcome, reference_build_ontology, reference_parse_edge_list, shape
 
 UNKNOWN = ("u0", "u1", "u2", "u3")
 POLICIES = ("as-printed", "mean-of-directions")
@@ -195,3 +196,46 @@ def test_term_sim_cli_names_unknown_ids_in_argv_order(t1, t2):
         assert out.getvalue() == ""
     else:
         assert code == 0
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Edge-list lines over a few ids: repeated edges and several parents per
+    child are common, with comments, blank lines, padded fields and mixed
+    line endings between them. Half the texts point every edge to a lower
+    id, so they are DAGs; the rest may hold cycles. Now and then one line is
+    malformed."""
+    acyclic = draw(st.booleans())
+    pad = st.sampled_from(("", " ", "  ", "\t"))
+    ending = st.sampled_from(("\n", "\r\n", ""))
+    note = st.sampled_from(("", " note", "n1\tn2"))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(("edge",) * 5 + ("comment", "blank")), min_size=1, max_size=25)):
+        if kind == "edge":
+            child, parent = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            if acyclic:
+                child, parent = max(child, parent) + 1, min(child, parent)
+            # a tab would add a field, so an edge is padded with spaces only
+            left, right = draw(pad).strip("\t"), draw(pad).strip("\t")
+            lines.append(f"{left}n{child}{right}\t{right}n{parent}{left}{draw(ending)}")
+        elif kind == "comment":
+            lines.append(f"{draw(pad)}#{draw(note)}{draw(ending)}")
+        else:
+            lines.append(f"{draw(pad)}{draw(pad)}{draw(ending)}")
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from(("n1\tn2\tn3\n", "\tn1\n", "n1\t \n", "n1 n2\n")))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+def build_from_text(parse, build, lines):
+    terms, edges, _ = parse(lines)
+    return build(terms, edges)
+
+
+@fast
+@given(edge_list_lines())
+def test_edge_list_ingest_matches_reference(lines):
+    got = outcome(build_from_text, parse_edge_list, build_ontology, lines)
+    expected = outcome(build_from_text, reference_parse_edge_list, reference_build_ontology, lines)
+    assert shape(got) == shape(expected)

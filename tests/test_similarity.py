@@ -320,6 +320,19 @@ class TestMatrixCsv:
         assert parsed.terms == AWKWARD_LABELS
         assert parsed.values == tuple(tuple(float(f"{cell:.6f}") for cell in row) for row in m.values)
 
+    def test_carriage_return_in_a_term_id_is_quoted_and_reads_back(self, default_params):
+        # csv quotes only its terminator's characters, so "\n" alone left a bare "\r"
+        g = build_ontology(["r", "a\rb", "c"], [("a\rb", "r"), ("c", "r")])
+        m = pairwise_matrix(g, default_params, ["r", "a\rb", "c"])
+        buf = io.StringIO()
+        m.to_csv(buf, {"kind": "similarity"})
+        text = buf.getvalue()
+        assert text.startswith('# kind: similarity\n,r,"a\rb",c\n')
+        assert '\n"a\rb",' in text
+        parsed = SimilarityMatrix.from_csv(io.StringIO(text))
+        assert parsed.terms == ("r", "a\rb", "c")
+        assert parsed.values == tuple(tuple(float(f"{cell:.6f}") for cell in row) for row in m.values)
+
     def test_repeated_and_distinct_values(self):
         # values that share a text, values that differ below the printed precision
         values = ((1.0, 0.1234564, 0.1234566), (0.1234564, 1.0, 0.5), (0.5, 0.1234566, 1.0))
