@@ -156,7 +156,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True, help="annotation catalog JSON")
     p.add_argument("--distance", action="store_true", help="emit 1 - similarity instead")
-    p.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("doss", help="dataset-to-dataset similarity")
@@ -176,7 +175,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.add_argument("--catalog", metavar="PATH", required=True)
     p.add_argument("--agg", choices=tuple(AGGREGATORS), default=DEFAULT_AGGREGATOR)
-    p.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_doss_matrix)
 
     p = sub.add_parser("stats", help="annotation coverage per dataset and overall")
@@ -224,6 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def _print_warnings(report: ParseReport) -> None:
+    for line, message in report.warnings:
+        print(f"warning: line {line}: {message}", file=sys.stderr)
+
+
 def _load_graph(args) -> tuple[OntologyGraph, LabelTable, ParseReport]:
     if args.ontology_obo is not None:
         with open(args.ontology_obo, encoding="utf-8-sig") as fh:
@@ -232,6 +235,8 @@ def _load_graph(args) -> tuple[OntologyGraph, LabelTable, ParseReport]:
         with open(args.ontology_edges, encoding="utf-8-sig") as fh:
             terms, edges, report = parse_edge_list(fh)
         labels = {}
+    # before any error that the build or the command raises
+    _print_warnings(report)
     return build_ontology(terms, edges), labels, report
 
 
@@ -262,14 +267,8 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
             yield fh
 
 
-def _print_warnings(report: ParseReport) -> None:
-    for line, message in report.warnings:
-        print(f"warning: line {line}: {message}", file=sys.stderr)
-
-
 def cmd_validate(args) -> int:
     graph, _, report = _load_graph(args)
-    _print_warnings(report)
     print(f"{len(graph)} terms, {graph.edge_count} edges")
     if report.ignored_relation_count:
         print(f"{report.ignored_relation_count} non-taxonomic relation(s) ignored")
@@ -432,10 +431,10 @@ def cmd_search(args) -> int:
     if args.ontology_obo is None:
         with open(args.labels, encoding="utf-8-sig") as fh:
             labels, report = parse_labels(fh)
+        _print_warnings(report)
     else:
         # building the graph is the check that the OBO is a DAG with unique ids
-        _, labels, report = _load_graph(args)
-    _print_warnings(report)
+        _, labels, _ = _load_graph(args)
     for match in search_labels(labels, args.query, args.top):
         print(f"{match.term}\t{match.label}\t{match.score:.6f}")
     return EXIT_OK

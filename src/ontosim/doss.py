@@ -138,15 +138,13 @@ def doss_matrix(
     params: SimilarityParams,
     catalog: AnnotationCatalog,
     aggregator: str = DEFAULT_AGGREGATOR,
-    workers: int = 1,
 ) -> DossMatrix:
     """All ordered dataset pairs. Datasets without annotated terms are not
     fatal here; they are left out and reported in ``excluded``.
 
     The term matrix over the catalog's distinct terms is computed once; each
     cell aggregates the source terms' maxima over the reference's columns,
-    the same values :func:`doss` gives. ``workers`` is accepted for
-    compatibility and has no effect.
+    the same values :func:`doss` gives.
     """
     h = get_aggregator(aggregator)
     included: list[str] = []

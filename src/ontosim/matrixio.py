@@ -50,6 +50,11 @@ def csv_line(fields: Iterable[object]) -> str:
 
 
 def read_matrix_csv(lines: Iterable[str]) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
+    """Labels and values of a matrix file; open the file with ``newline=""``.
+
+    A default ``open()`` turns a quoted ``\\r`` in a label into ``\\n``
+    before these lines are read, so the label would not read back as itself.
+    """
     # only the metadata block before the header is skipped: a label may start with "#"
     rows = list(csv.reader(dropwhile(lambda line: line.startswith("#"), lines)))
     if not rows:

@@ -164,22 +164,15 @@ class SimilarityMatrix:
 
     @classmethod
     def from_csv(cls, lines: Iterable[str]) -> "SimilarityMatrix":
+        """Read :meth:`to_csv` output from a file opened with ``newline=""``,
+        so that a ``\\r`` in a label reads back as itself."""
         labels, values = matrixio.read_matrix_csv(lines)
         return cls(labels, values)
 
 
-def pairwise_matrix(
-    graph: OntologyGraph,
-    params: SimilarityParams,
-    terms: Iterable[TermId],
-    workers: int = 1,
-) -> SimilarityMatrix:
-    """All-pairs similarity over the given terms.
-
-    Duplicates collapse to their first occurrence. ``workers`` is accepted
-    for compatibility and has no effect: the kernel is pure Python, so
-    threads could not run it in parallel.
-    """
+def pairwise_matrix(graph: OntologyGraph, params: SimilarityParams, terms: Iterable[TermId]) -> SimilarityMatrix:
+    """All-pairs similarity over the given terms; duplicates collapse to
+    their first occurrence."""
     ordered = list(dict.fromkeys(terms))
     if not ordered:
         raise EmptyTermList()

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from ontosim import SimilarityMatrix
 from ontosim.cli import build_arg_parser, main
 from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
@@ -20,6 +21,7 @@ MINI_OBO_PATH = str(FIXTURES / "mini.obo")
 HC_CATALOG_PATH = str(FIXTURES / "healthcare_catalog.json")
 HC_EDGES_PATH = str(FIXTURES / "healthcare_edges.tsv")
 HC_LABELS_PATH = str(FIXTURES / "healthcare_labels.tsv")
+README = FIXTURES.parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -106,6 +108,11 @@ class TestTermSim:
         code, _, err = run(capsys, "term-sim", "b", "zz", "--ontology-edges", TOY_EDGES_PATH)
         assert code == 4
         assert "zz" in err
+
+    def test_obo_parse_warning_explains_an_unknown_term(self, capsys):
+        code, out, err = run(capsys, "term-sim", "X:900", "X:001", "--ontology-obo", MINI_OBO_PATH)
+        assert (code, out) == (4, "")
+        assert err == "warning: line 20: skipped obsolete term X:900\nerror: unknown term id(s): 'X:900'\n"
 
     def test_custom_weights(self, capsys):
         code, out, _ = run(
@@ -284,6 +291,23 @@ class TestDossMatrixCmd:
         assert body["D1"][0] == "1.000000"
         assert body["DS"][0] == "1.000000"  # containment
         assert body["D1"][2] != "1.000000"
+
+    def test_obo_source_prints_parse_warnings_first(self, capsys, tmp_path):
+        # mini.obo as an edge list: X:003 -> X:002 -> X:001, obsolete X:900 left out
+        edges, catalog = tmp_path / "mini.tsv", tmp_path / "cat.json"
+        edges.write_text("X:002\tX:001\nX:003\tX:002\n", encoding="utf-8")
+        features = {"A": ["X:001", "X:003"], "B": ["X:002"], "C": ["X:003"], "E": [None]}
+        catalog.write_text(json.dumps({"ontology_version": "mini-1", "datasets": [
+            {"id": ds, "name": ds, "origin": [], "category": "EHR",
+             "features": [{"name": f"f{i}", "term": term} for i, term in enumerate(terms)]}
+            for ds, terms in features.items()
+        ]}), encoding="utf-8")
+        expected = run(capsys, "doss-matrix", "--ontology-edges", str(edges), "--catalog", str(catalog))
+        assert expected[0] == 0
+        assert expected[2] == "excluded (no annotated terms): E\n"
+        code, out, err = run(capsys, "doss-matrix", "--ontology-obo", MINI_OBO_PATH, "--catalog", str(catalog))
+        assert (code, out) == expected[:2]
+        assert err == "warning: line 20: skipped obsolete term X:900\n" + expected[2]
 
     def test_json_output(self, capsys):
         _, out, _ = run(
@@ -502,18 +526,20 @@ class TestOptionSurface:
     EXPECTED = {
         "validate": ONTOLOGY,
         "term-sim": ONTOLOGY + SCORING,
-        "matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--distance", "--workers"],
+        "matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--distance"],
         "doss": ONTOLOGY + SCORING + ["--catalog", "--agg", "--format", "--verbose"],
-        "doss-matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--agg", "--workers"],
+        "doss-matrix": ONTOLOGY + SCORING + OUTPUT + ["--catalog", "--agg"],
         "stats": ["--catalog"] + OUTPUT,
         "terms": ["--catalog", "--top"] + OUTPUT,
         "search": ["--labels", "--ontology-obo", "--top"],
     }
 
-    def test_options_per_subcommand(self):
+    @staticmethod
+    def surface():
+        """Sorted option strings per subcommand, as the parser accepts them."""
         parser = build_arg_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        surface = {
+        return {
             name: sorted(
                 option
                 for action in command._actions
@@ -522,7 +548,25 @@ class TestOptionSurface:
             )
             for name, command in sub.choices.items()
         }
-        assert surface == {name: sorted(options) for name, options in self.EXPECTED.items()}
+
+    def test_options_per_subcommand(self):
+        assert self.surface() == {name: sorted(options) for name, options in self.EXPECTED.items()}
+
+    def test_readme_flag_list_matches_parser(self):
+        # the paragraph that defines ONTOLOGY and SCORING, then one bullet per command
+        section = README.read_text(encoding="utf-8").split("Flags per command", 1)[1]
+        definitions, bullets = section.split("\n\n")[:2]
+        flags = re.compile(r"--[a-z][a-z-]*")
+        macros = {
+            name: flags.findall(body)
+            for name, body in re.findall(r"`([A-Z]+)` is (.*?)(?:;|\):)", definitions, flags=re.DOTALL)
+        }
+        assert sorted(macros) == ["ONTOLOGY", "SCORING"]
+        documented = {}
+        for bullet in bullets.split("\n- "):
+            command, *items = re.findall(r"`([^`]+)`", bullet)
+            documented[command] = sorted(flag for item in items for flag in macros.get(item) or flags.findall(item))
+        assert documented == self.surface()
 
     @pytest.mark.parametrize(
         "argv",
@@ -538,10 +582,13 @@ class TestOptionSurface:
             ["search", "a", "--ontology-edges", TOY_EDGES_PATH],
             ["search", "a", "--labels", TOY_LABELS_PATH, "--ontology-version", "v"],
             ["search", "a", "--labels", TOY_LABELS_PATH, "--ontology-obo", MINI_OBO_PATH],
+            ["matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH, "--workers", "2"],
+            ["doss-matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH, "--workers", "2"],
         ],
         ids=[
             "validate-labels", "validate-version", "term-sim-labels", "matrix-labels", "doss-labels",
             "doss-matrix-labels", "search-edges", "search-version", "search-both-sources",
+            "matrix-workers", "doss-matrix-workers",
         ],
     )
     def test_unread_option_is_a_usage_error(self, capsys, argv):
@@ -639,10 +686,14 @@ class TestCsvQuoting:
             capsys, "doss-matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", str(path), "--out", str(target)
         )
         assert (code, out, err) == (0, "", "excluded (no annotated terms): DE\n")
+        # newline="" as documented: a default open() would hand the reader
+        # "x\ny", translating the quoted "\r" before csv sees it
         with open(target, encoding="utf-8", newline="") as fh:
             labels, values = read_matrix_csv(fh)
         assert labels == ("x\ry", "D2", "DS")
         assert values[0][0] == 1.0
+        with open(target, encoding="utf-8", newline="") as fh:
+            assert SimilarityMatrix.from_csv(fh).terms == labels
         code, out, _ = run(capsys, "stats", "--catalog", str(path))
         assert code == 0
         assert '\n"x\ry",pair,unit,EHR,' in out

@@ -189,10 +189,6 @@ class TestDossMatrix:
         assert m.values[j][i] == 1.0
         assert m.values[i][j] < 1.0
 
-    def test_worker_counts_agree(self, default_params, healthcare_graph, healthcare_catalog):
-        baseline = doss_matrix(healthcare_graph, default_params, healthcare_catalog, workers=1)
-        assert doss_matrix(healthcare_graph, default_params, healthcare_catalog, workers=4) == baseline
-
     def test_small_datasets_score_higher_against_large_ones(
         self, default_params, healthcare_graph, healthcare_catalog
     ):

@@ -201,13 +201,6 @@ class TestPairwiseMatrix:
             pairwise_matrix(toy_graph, default_params, ["a", "q1", "b", "q2"])
         assert exc.value.term_ids == ("q1", "q2")
 
-    def test_worker_counts_agree(self, default_params):
-        ids, edges = random_dag(random.Random(814), max_nodes=40)
-        g = build_ontology(ids, edges)
-        baseline = pairwise_matrix(g, default_params, ids, workers=1)
-        for workers in (2, 4, 8):
-            assert pairwise_matrix(g, default_params, ids, workers=workers) == baseline
-
     def test_csv_round_trip_at_serialized_precision(self, toy_graph, default_params):
         m = pairwise_matrix(toy_graph, default_params, ["a", "b", "c"])
         buf = io.StringIO()
