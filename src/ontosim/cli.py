@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import IO, Iterator
@@ -136,6 +137,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole CLI on each call."""
     parser = _Parser(prog="ontosim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,9 +201,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; parse_args leaves a
+    # parser unchanged and no option default is mutable, so calls can share it
+    return build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI call and return its exit code; a usage error raises ``SystemExit(64)``.
+
+    The argument parser is built once per process, on the first call, and
+    every later call in the process reuses it.
+    """
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except CycleDetected as exc:

@@ -7,7 +7,9 @@ Three formats are supported:
 * labels: TSV ``id<TAB>label[<TAB>synonym]*``
 * OBO subset: ``[Term]`` stanzas with ``id:``, ``name:``, ``synonym:`` and
   ``is_a:`` keys; obsolete stanzas are skipped with a warning, non-taxonomic
-  ``relationship:`` lines are counted but ignored, every other key is ignored
+  ``relationship:`` lines are counted but ignored, every other key is ignored;
+  ``id:`` and ``is_a:`` values drop an end-of-line ``! comment`` and a
+  trailing ``{...}`` modifier block that follows whitespace
 
 All parsers are pure single-pass functions over an iterable of lines, accept
 LF or CRLF endings, and trim surrounding whitespace from fields (internal
@@ -16,6 +18,7 @@ spaces are preserved).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable
@@ -103,6 +106,18 @@ def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
     return labels, report
 
 
+# a trailing {name=value, ...} block after whitespace, as OBO 1.4 writes modifiers
+_MODIFIERS = re.compile(r"\s+\{.*\}\Z")
+
+
+def _obo_id(value: str) -> str:
+    """An ``id:`` or ``is_a:`` value without its ``!`` comment or trailing modifiers."""
+    value = value.partition("!")[0].rstrip()
+    if value.endswith("}"):
+        value = _MODIFIERS.sub("", value)
+    return value
+
+
 def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, str]], LabelTable, ParseReport]:
     """Parse the OBO subset described in the module docstring.
 
@@ -149,6 +164,7 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
         key = key.strip()
         value = value.strip()
         if key == "id":
+            value = _obo_id(value)
             if not value:
                 raise MalformedStanza("empty id:", line=lineno)
             if term_id is not None:
@@ -165,7 +181,7 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
             if text:
                 synonyms.append(text)
         elif key == "is_a":
-            target = value.split("!", 1)[0].strip()
+            target = _obo_id(value)
             if not target:
                 raise MalformedLine("is_a without a target id", line=lineno)
             is_a.append((target, lineno))

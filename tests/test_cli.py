@@ -5,7 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +49,11 @@ def top_level_keys(json_text):
 
 def read_csv_rows(text):
     return list(csv.reader(line for line in io.StringIO(text) if not line.startswith("#")))
+
+
+def subcommands(parser):
+    """The subcommand name -> subparser map of a parser from build_arg_parser()."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestValidate:
@@ -113,6 +121,20 @@ class TestTermSim:
         code, out, err = run(capsys, "term-sim", "X:900", "X:001", "--ontology-obo", MINI_OBO_PATH)
         assert (code, out) == (4, "")
         assert err == "warning: line 20: skipped obsolete term X:900\nerror: unknown term id(s): 'X:900'\n"
+
+    def test_obo_comments_and_modifiers_give_the_edge_list_graph(self, capsys, tmp_path):
+        # the toy graph (b under a under r, c under r) written as decorated OBO
+        obo = tmp_path / "toy.obo"
+        obo.write_text(
+            "format-version: 1.2\n\n[Term]\nid: r ! root\n\n"
+            '[Term]\nid: a {created_by="x"}\nis_a: r {source="PMID:1"} ! root\n\n'
+            "[Term]\nid: b ! leaf\nis_a: a {source=x, note=y}\n\n"
+            "[Term]\nid: c {a=b} ! other leaf\nis_a: r ! root\n",
+            encoding="utf-8",
+        )
+        expected = run(capsys, "term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH)
+        assert expected[0] == 0
+        assert run(capsys, "term-sim", "b", "c", "--ontology-obo", str(obo)) == expected
 
     def test_custom_weights(self, capsys):
         code, out, _ = run(
@@ -537,8 +559,6 @@ class TestOptionSurface:
     @staticmethod
     def surface():
         """Sorted option strings per subcommand, as the parser accepts them."""
-        parser = build_arg_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         return {
             name: sorted(
                 option
@@ -546,7 +566,7 @@ class TestOptionSurface:
                 if not isinstance(action, argparse._HelpAction)
                 for option in action.option_strings
             )
-            for name, command in sub.choices.items()
+            for name, command in subcommands(build_arg_parser()).items()
         }
 
     def test_options_per_subcommand(self):
@@ -641,6 +661,68 @@ class TestUsageErrors:
         )
         assert code == 0
         assert f"# alpha: {float(value)}  beta: {float(value)}" in out
+
+
+class TestSharedParser:
+    """main() builds its parser once per process and reuses it on every call."""
+
+    SEQUENCE = [
+        [],
+        ["term-sim", "a"],
+        ["validate", "--ontology-edges", TOY_EDGES_PATH],
+        ["matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH, "--distance"],
+        ["matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH],
+        ["doss", "D1", "D2", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH, "--format", "json"],
+        ["doss", "D1", "D2", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH],
+        ["term-sim", "X:900", "X:001", "--ontology-obo", MINI_OBO_PATH],
+    ]
+
+    @staticmethod
+    def fresh_env():
+        src = str(FIXTURES.parents[1] / "src")
+        return {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # usage text wraps at the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ontosim.cli", *argv],
+                env=self.fresh_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_import_builds_no_parser(self):
+        probe = "import ontosim.cli as cli; print(cli._arg_parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=self.fresh_env(), capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout == "0\n"
+
+    def test_no_option_default_is_mutable(self):
+        parser = build_arg_parser()
+        for command in (parser, *subcommands(parser).values()):
+            defaults = [action.default for action in command._actions] + list(command._defaults.values())
+            assert not any(isinstance(value, (list, dict, set)) for value in defaults), command.prog
+
+    def test_each_build_returns_a_new_parser(self):
+        assert build_arg_parser() is not build_arg_parser()
+
+    def test_extending_a_built_parser_leaves_main_unchanged(self, capsys):
+        argv = ["validate", "--ontology-edges", TOY_EDGES_PATH]
+        assert run(capsys, *argv)[0] == 0
+        parser = build_arg_parser()
+        subcommands(parser)["validate"].add_argument("--extra", action="store_true")
+        assert parser.parse_args([*argv, "--extra"]).extra
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--extra"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
 
 
 class TestOntologyVersionEcho:

@@ -225,6 +225,32 @@ class TestOboSubset:
         _, edges, _, _ = parse_obo_subset(io.StringIO(text))
         assert edges == [("X:2", "X:1")]
 
+    @pytest.mark.parametrize(
+        "id_line, is_a_line",
+        [
+            ("id: X:2", 'is_a: X:1 {source="PMID:1"} ! root'),
+            ("id: X:2", 'is_a: X:1 {source="PMID:1", note="a } b"}'),
+            ("id: X:2 ! trailing comment", "is_a: X:1"),
+            ("id: X:2 {created_by=someone}  ! both", "is_a: X:1 ! root"),
+        ],
+        ids=["is_a-modifiers-and-comment", "is_a-modifiers", "id-comment", "id-modifiers"],
+    )
+    def test_id_and_is_a_drop_comment_and_modifiers(self, id_line, is_a_line):
+        text = f"[Term]\nid: X:1\n\n[Term]\n{id_line}\n{is_a_line}\n"
+        ids, edges, _, report = parse_obo_subset(io.StringIO(text))
+        assert (ids, edges, report.warnings) == (["X:1", "X:2"], [("X:2", "X:1")], [])
+
+    def test_braces_inside_an_id_are_kept(self):
+        # only a block after whitespace is a modifier; an id that parsed before keeps its text
+        text = "[Term]\nid: X:{1}\n\n[Term]\nid: X:2\nis_a: X:{1} {source=x}\n"
+        ids, edges, _, _ = parse_obo_subset(io.StringIO(text))
+        assert (ids, edges) == (["X:{1}", "X:2"], [("X:2", "X:{1}")])
+
+    def test_comment_only_id_is_empty(self):
+        with pytest.raises(MalformedStanza) as exc:
+            parse_obo_subset(io.StringIO("[Term]\nid: ! nothing\n"))
+        assert str(exc.value) == "line 2: empty id:"
+
     def test_fixture_file_builds_a_graph(self):
         with open(FIXTURES / "mini.obo", encoding="utf-8") as fh:
             ids, edges, labels, report = parse_obo_subset(fh)
