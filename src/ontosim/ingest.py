@@ -9,7 +9,8 @@ Three formats are supported:
   ``is_a:`` keys; obsolete stanzas are skipped with a warning, non-taxonomic
   ``relationship:`` lines are counted but ignored, every other key is ignored;
   ``id:`` and ``is_a:`` values drop an end-of-line ``! comment`` and a
-  trailing ``{...}`` modifier block that follows whitespace
+  trailing ``{...}`` modifier block that follows whitespace (a quoted
+  modifier value may hold ``!`` or ``}``; an escaped ``\\!`` is no comment)
 
 All parsers are pure single-pass functions over an iterable of lines, accept
 LF or CRLF endings, and trim surrounding whitespace from fields (internal
@@ -106,16 +107,24 @@ def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
     return labels, report
 
 
-# a trailing {name=value, ...} block after whitespace, as OBO 1.4 writes modifiers
-_MODIFIERS = re.compile(r"\s+\{.*\}\Z")
+# an id runs to an unescaped "!" or to whitespace before "{" or "!"; an escaped
+# "\!" stays in the id as written
+_OBO_ID = re.compile(r"(?:[^\\!\s]|\\.?|\s+(?![\s{!]))*")
+# what may follow the id: one {name=value, ...} modifier block, whose quoted
+# values may hold "}" or "!", then an optional "! comment"
+_OBO_ID_TRAILER = re.compile(r'(?:\s+\{(?:[^"}]|"(?:[^"\\]|\\.)*")*\})?\s*(?:!.*)?')
+_UNTIL_COMMENT = re.compile(r"(?:[^\\!]|\\.?)*")
 
 
 def _obo_id(value: str) -> str:
     """An ``id:`` or ``is_a:`` value without its ``!`` comment or trailing modifiers."""
-    value = value.partition("!")[0].rstrip()
-    if value.endswith("}"):
-        value = _MODIFIERS.sub("", value)
-    return value
+    if "{" not in value and "\\" not in value:
+        return value.partition("!")[0].rstrip()
+    head = _OBO_ID.match(value)[0]
+    if _OBO_ID_TRAILER.fullmatch(value, len(head)):
+        return head
+    # no well-formed modifier block: the id runs to the comment
+    return _UNTIL_COMMENT.match(value)[0].rstrip()
 
 
 def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, str]], LabelTable, ParseReport]:

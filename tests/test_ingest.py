@@ -232,8 +232,9 @@ class TestOboSubset:
             ("id: X:2", 'is_a: X:1 {source="PMID:1", note="a } b"}'),
             ("id: X:2 ! trailing comment", "is_a: X:1"),
             ("id: X:2 {created_by=someone}  ! both", "is_a: X:1 ! root"),
+            ("id: X:2", 'is_a: X:1 {source="a!b"} ! root'),
         ],
-        ids=["is_a-modifiers-and-comment", "is_a-modifiers", "id-comment", "id-modifiers"],
+        ids=["is_a-modifiers-and-comment", "is_a-modifiers", "id-comment", "id-modifiers", "quoted-bang"],
     )
     def test_id_and_is_a_drop_comment_and_modifiers(self, id_line, is_a_line):
         text = f"[Term]\nid: X:1\n\n[Term]\n{id_line}\n{is_a_line}\n"
@@ -245,6 +246,11 @@ class TestOboSubset:
         text = "[Term]\nid: X:{1}\n\n[Term]\nid: X:2\nis_a: X:{1} {source=x}\n"
         ids, edges, _, _ = parse_obo_subset(io.StringIO(text))
         assert (ids, edges) == (["X:{1}", "X:2"], [("X:2", "X:{1}")])
+
+    def test_escaped_bang_is_no_comment(self):
+        text = "[Term]\nid: X:\\!1\n\n[Term]\nid: X:2\nis_a: X:\\!1 ! root\n"
+        ids, edges, _, report = parse_obo_subset(io.StringIO(text))
+        assert (ids, edges, report.warnings) == (["X:\\!1", "X:2"], [("X:2", "X:\\!1")], [])
 
     def test_comment_only_id_is_empty(self):
         with pytest.raises(MalformedStanza) as exc:
