@@ -206,7 +206,6 @@ def coverage_stats(catalog: AnnotationCatalog) -> CoverageStats:
     """
     per: list[DatasetCoverage] = []
     names: dict[str, None] = {}
-    terms: set[str] = set()
     feature_total = 0
     annotated_total = 0
     for ds in catalog.datasets:
@@ -216,10 +215,8 @@ def coverage_stats(catalog: AnnotationCatalog) -> CoverageStats:
         annotated_total += annotated
         for f in ds.features:
             names.setdefault(f.name)
-            if f.term is not None:
-                terms.add(f.term)
     fraction = annotated_total / feature_total if feature_total else 0.0
-    return CoverageStats(tuple(per), len(names), len(terms), fraction)
+    return CoverageStats(tuple(per), len(names), len(catalog_terms(catalog)), fraction)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ Three formats are supported:
   ``relationship:`` lines are counted but ignored, every other key is ignored;
   ``id:`` and ``is_a:`` values drop an end-of-line ``! comment`` and a
   trailing ``{...}`` modifier block that follows whitespace (a quoted
-  modifier value may hold ``!`` or ``}``; an escaped ``\\!`` is no comment)
+  modifier value may hold ``!`` or ``}``; an escaped ``\\!`` is no comment);
+  synonym text runs to the first unescaped ``"``, and ``\\"`` and ``\\\\`` in it
+  unescape (every other escape is kept as written)
 
 All parsers are pure single-pass functions over an iterable of lines, accept
 LF or CRLF endings, and trim surrounding whitespace from fields (internal
@@ -114,6 +116,9 @@ _OBO_ID = re.compile(r"(?:[^\\!\s]|\\.?|\s+(?![\s{!]))*")
 # values may hold "}" or "!", then an optional "! comment"
 _OBO_ID_TRAILER = re.compile(r'(?:\s+\{(?:[^"}]|"(?:[^"\\]|\\.)*")*\})?\s*(?:!.*)?')
 _UNTIL_COMMENT = re.compile(r"(?:[^\\!]|\\.?)*")
+# quoted text runs to the first unescaped '"'; of its escapes only \" and \\ unescape
+_OBO_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_OBO_QUOTE_ESCAPE = re.compile(r'\\([\\"])')
 
 
 def _obo_id(value: str) -> str:
@@ -182,11 +187,15 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
         elif key == "name":
             name = value or None
         elif key == "synonym":
-            first = value.find('"')
-            second = value.find('"', first + 1)
-            if first < 0 or second < 0:
+            if "\\" in value:
+                quoted = _OBO_QUOTED.search(value)
+                text = quoted and _OBO_QUOTE_ESCAPE.sub(r"\1", quoted[1])
+            else:
+                first = value.find('"')
+                second = value.find('"', first + 1)
+                text = value[first + 1 : second] if 0 <= first < second else None
+            if text is None:
                 raise MalformedLine("synonym text must be enclosed in double quotes", line=lineno)
-            text = value[first + 1 : second]
             if text:
                 synonyms.append(text)
         elif key == "is_a":

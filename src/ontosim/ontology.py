@@ -11,7 +11,6 @@ the call needs.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, UnknownTerm
@@ -137,19 +136,13 @@ def build_ontology(terms: Iterable[TermId], edges: Iterable[tuple[str, str]]) ->
     """
     ids = tuple(terms)
     index: dict[str, int] = {}
-    # every id is typed before any is hashed, so an unhashable one is a
-    # ValueError too; a repeated id leaves the index short
-    if all(map(isinstance, ids, repeat(str))) and "" not in ids:
-        index = dict(zip(ids, range(len(ids))))
-    if len(index) != len(ids):
-        # input that is not clean: raise the first offending id's error
-        index = {}
-        for term_id in ids:
-            if not isinstance(term_id, str) or not term_id:
-                raise ValueError("term ids must be non-empty strings")
-            if term_id in index:
-                raise DuplicateTermId(term_id)
-            index[term_id] = len(index)
+    # an id is typed before it is hashed, so an unhashable one is a ValueError too
+    for node, term_id in enumerate(ids):
+        if not isinstance(term_id, str) or not term_id:
+            raise ValueError("term ids must be non-empty strings")
+        if term_id in index:
+            raise DuplicateTermId(term_id)
+        index[term_id] = node
 
     # a node's parents: () or a 1-tuple, until a second distinct parent turns
     # them into an insertion-ordered dict, which drops repeats in O(1)
@@ -192,22 +185,18 @@ def _ensure_acyclic(ids: Sequence[str], parents: Sequence[Sequence[int]]) -> Non
         if color[start] != WHITE:
             continue
         color[start] = GRAY
-        stack: list[list[int]] = [[start, 0]]
+        # the grey nodes from start down, and beside each its unread parents
+        path = [start]
+        stack = [iter(parents[start])]
         while stack:
-            top = stack[-1]
-            node, cursor = top
-            node_parents = parents[node]
-            if cursor == len(node_parents):
-                color[node] = BLACK
+            for nxt in stack[-1]:
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    stack.append(iter(parents[nxt]))
+                    break
+                if color[nxt] == GRAY:
+                    raise CycleDetected([ids[node] for node in path[path.index(nxt) :] + [nxt]])
+            else:
+                color[path.pop()] = BLACK
                 stack.pop()
-                continue
-            top[1] += 1
-            nxt = node_parents[cursor]
-            if color[nxt] == GRAY:
-                at = next(i for i, frame in enumerate(stack) if frame[0] == nxt)
-                cycle = [ids[frame[0]] for frame in stack[at:]]
-                cycle.append(ids[nxt])
-                raise CycleDetected(cycle)
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append([nxt, 0])

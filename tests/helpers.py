@@ -6,8 +6,10 @@ tuples of node indexes and packs them into bitmasks per kernel call), so
 agreement between the two is meaningful evidence.
 
 reference_parse_edge_list and reference_build_ontology keep the edge-list
-ingest as it was before ids were interned and parents built as tuples, so
-the production pair can be checked against it line for line.
+ingest as it was before ids were interned and parents built as tuples, and
+reference_ensure_acyclic keeps the cycle check's DFS as it was before it
+walked parent iterators, so the production code can be checked against them
+line for line.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import csv
 import io
 import random
 
-from ontosim.errors import DanglingEdgeEndpoint, DuplicateTermId, EmptyInput, MalformedLine
+from ontosim.errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, EmptyInput, MalformedLine
 from ontosim.ingest import ParseReport
-from ontosim.ontology import OntologyGraph, _ensure_acyclic
+from ontosim.ontology import OntologyGraph
 
 
 class DfsOracle:
@@ -133,8 +135,33 @@ def reference_build_ontology(terms, edges):
     if dangling:
         raise DanglingEdgeEndpoint(dangling)
     frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
-    _ensure_acyclic(ids, frozen)
+    reference_ensure_acyclic(ids, frozen)
     return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
+
+
+def reference_ensure_acyclic(ids, parents):
+    """Three-colour DFS with a stack of [node, cursor] frames."""
+    color = bytearray(len(ids))
+    for start in range(len(ids)):
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [[start, 0]]
+        while stack:
+            top = stack[-1]
+            node, cursor = top
+            if cursor == len(parents[node]):
+                color[node] = 2
+                stack.pop()
+                continue
+            top[1] += 1
+            nxt = parents[node][cursor]
+            if color[nxt] == 1:
+                at = next(i for i, frame in enumerate(stack) if frame[0] == nxt)
+                raise CycleDetected([ids[frame[0]] for frame in stack[at:]] + [ids[nxt]])
+            if color[nxt] == 0:
+                color[nxt] = 1
+                stack.append([nxt, 0])
 
 
 def outcome(call, *args):

@@ -37,6 +37,11 @@ def minimal(**overrides):
     return payload
 
 
+def with_dataset(**fields):
+    """minimal() with the given fields of its one dataset replaced."""
+    return minimal(datasets=[dict(minimal()["datasets"][0], **fields)])
+
+
 class TestLoadCatalog:
     def test_minimal_valid(self):
         catalog = catalog_from_dict(minimal())
@@ -99,6 +104,27 @@ class TestLoadCatalog:
         with pytest.raises(SchemaViolation) as exc:
             catalog_from_dict(minimal(datasets=[ds]))
         assert exc.value.path == "$.datasets[0].features[1].name"
+
+    @pytest.mark.parametrize(
+        "payload, path, message",
+        [
+            ([], "$", "expected a JSON object"),
+            ({"ontology_version": "v1"}, "$.datasets", "missing required field"),
+            (minimal(datasets={}), "$.datasets", "expected an array"),
+            (minimal(datasets=[1]), "$.datasets[0]", "expected an object"),
+            (with_dataset(name=5), "$.datasets[0].name", "expected a string"),
+            (with_dataset(origin=["unit", 1]), "$.datasets[0].origin[1]", "expected a string"),
+            (with_dataset(features=["age"]), "$.datasets[0].features[0]", "expected an object"),
+        ],
+        ids=[
+            "payload-not-an-object", "datasets-missing", "datasets-not-an-array", "dataset-not-an-object",
+            "field-not-a-string", "origin-entry-not-a-string", "feature-not-an-object",
+        ],
+    )
+    def test_wrong_json_shape_names_its_path(self, payload, path, message):
+        with pytest.raises(SchemaViolation) as exc:
+            catalog_from_dict(payload)
+        assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
 
     def test_unknown_keys_rejected(self):
         payload = minimal()

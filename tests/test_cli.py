@@ -404,6 +404,21 @@ class TestStatsAndTerms:
         assert rows[1][0] == "397669002" and rows[1][1] == "15"
         assert rows[2][0] == "263495000" and rows[2][1] == "11"
 
+    def test_terms_json_lists_the_csv_rows(self, capsys):
+        argv = ("terms", "--catalog", HC_CATALOG_PATH, "--top", "3")
+        _, csv_out, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert list(payload) == ["ontology_version", "terms"]
+        assert f"# ontology_version: {payload['ontology_version']}\n" in csv_out
+        rows = [
+            [row["term"], str(row["dataset_count"]), str(row["unique_name_count"]), ", ".join(row["example_names"])]
+            for row in payload["terms"]
+        ]
+        assert rows == read_csv_rows(csv_out)[1:]
+        assert len(rows) == 3
+
     def test_terms_on_unannotated_catalog(self, capsys, tmp_path):
         catalog = {
             "ontology_version": "x",
@@ -461,6 +476,12 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "middle", "--ontology-obo", MINI_OBO_PATH)
         assert code == 0
         assert out.splitlines()[0].split("\t")[0] == "X:002"
+
+    def test_obo_synonym_with_escaped_quotes(self, capsys, tmp_path):
+        path = tmp_path / "quoted.obo"
+        path.write_text('[Term]\nid: X:1\nname: root\nsynonym: "a \\"quoted\\" word" EXACT []\n', encoding="utf-8")
+        code, out, err = run(capsys, "search", "quoted", "--ontology-obo", str(path))
+        assert (code, out, err) == (0, "X:1\troot\t0.400000\n", "")
 
     def test_obo_source_prints_parse_warnings(self, capsys):
         code, out, err = run(capsys, "search", "thing", "--ontology-obo", MINI_OBO_PATH)
@@ -528,8 +549,12 @@ class TestPinnedOutput:
                 ["matrix", "--symmetrize", "as-printed", "--alpha", "2", "--beta", "0.5"],
                 "7461ae08774edbbf2c8abf8f5aaf8701cce35203bf855300b664b4492824e2ab",
             ),
+            (
+                ["doss-matrix", "--symmetrize", "as-printed"],
+                "4f447c93fc359239f887b0c348e0b144f02329f14872b25bc42141b284f8966c",
+            ),
         ],
-        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5"],
+        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed"],
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv, "--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH)
@@ -653,6 +678,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be 0 or in [1e-06, 1e+06]" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["term-sim", "b", "c", "--ontology-edges", TOY_EDGES_PATH, "--alpha", "abc"],
+             "argument --alpha: not a number: 'abc'"),
+            (["terms", "--catalog", TOY_CATALOG_PATH, "--top", "x"], "argument --top: not an integer: 'x'"),
+            (["terms", "--catalog", TOY_CATALOG_PATH, "--top", "0"], "argument --top: must be >= 1"),
+        ],
+        ids=["alpha-not-a-number", "top-not-an-integer", "top-zero"],
+    )
+    def test_bad_option_value_names_the_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["1e-6", "1e6"])
     def test_domain_end_points_accepted(self, capsys, value):

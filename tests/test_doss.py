@@ -250,6 +250,20 @@ class TestDossMatrix:
         assert labels == ("x\ry", "plain")
         assert values == tuple(tuple(float(f"{cell:.6f}") for cell in row) for row in m.values)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# aggregator: mean\n", "matrix file has no header row"),
+            (",a,b\na,1.000000,0.500000\n", "matrix file is not square"),
+            (",a,b\na,1.000000\nb,0.500000,1.000000\n", "matrix file is not square"),
+        ],
+        ids=["no-header-row", "missing-row", "short-row"],
+    )
+    def test_read_matrix_csv_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_matrix_csv(io.StringIO(text))
+
+
 class TestCorrelationTendency:
     def test_doss_tracks_shared_term_count(self, default_params):
         pytest.importorskip("scipy")

@@ -152,6 +152,19 @@ class TestLabels:
         with pytest.raises(MalformedLine):
             parse_labels(io.StringIO("x\t\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\t\n", "line 1: expected id<TAB>label[<TAB>synonym]*, got 'x\\t'"),
+            ("x\tAge\t\tage\n", "line 1: empty synonym field"),
+        ],
+        ids=["empty-label", "empty-synonym-field"],
+    )
+    def test_malformed_line_names_its_fault(self, text, message):
+        with pytest.raises(MalformedLine) as exc:
+            parse_labels(io.StringIO(text))
+        assert str(exc.value) == message
+
     def test_duplicate_id_last_wins_with_warning(self):
         labels, report = parse_labels(io.StringIO("x\tfirst\nx\tsecond\n"))
         assert labels["x"][0] == "second"
@@ -196,6 +209,35 @@ class TestOboSubset:
         text = '[Term]\nid: X:1\nsynonym: "the real one" EXACT [db:123]\n'
         _, _, labels, _ = parse_obo_subset(io.StringIO(text))
         assert labels["X:1"] == (None, ("the real one",))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ('"a \\"quoted\\" word" EXACT []', 'a "quoted" word'),
+            ('"back\\\\slash" EXACT []', "back\\slash"),
+            ('"ends in a backslash\\\\" EXACT []', "ends in a backslash\\"),
+            ('"kept \\n and \\!" EXACT []', "kept \\n and \\!"),
+            ('"plain" EXACT [db:\\x]', "plain"),
+        ],
+        ids=["escaped-quotes", "escaped-backslash", "escaped-backslash-last", "other-escapes-kept", "escape-after-text"],
+    )
+    def test_synonym_escapes(self, value, text):
+        _, _, labels, _ = parse_obo_subset(io.StringIO(f"[Term]\nid: X:1\nsynonym: {value}\n"))
+        assert labels == {"X:1": (None, (text,))}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("name thing", "line 3: expected key: value, got 'name thing'"),
+            ("is_a: ! c", "line 3: is_a without a target id"),
+            ('synonym: "a \\" EXACT []', "line 3: synonym text must be enclosed in double quotes"),
+        ],
+        ids=["no-colon", "comment-only-is_a", "escaped-closing-quote"],
+    )
+    def test_malformed_line_names_its_fault(self, line, message):
+        with pytest.raises(MalformedLine) as exc:
+            parse_obo_subset(io.StringIO(f"[Term]\nid: X:1\n{line}\n"))
+        assert str(exc.value) == message
 
     def test_unquoted_synonym_is_malformed(self):
         with pytest.raises(MalformedLine):
@@ -246,6 +288,12 @@ class TestOboSubset:
         text = "[Term]\nid: X:{1}\n\n[Term]\nid: X:2\nis_a: X:{1} {source=x}\n"
         ids, edges, _, _ = parse_obo_subset(io.StringIO(text))
         assert (ids, edges) == (["X:{1}", "X:2"], [("X:2", "X:{1}")])
+
+    def test_unclosed_modifier_block_is_kept(self):
+        # with no closing "}" there is no block to drop, so the id runs to the comment
+        text = "[Term]\nid: X:1 {a=b\n\n[Term]\nid: X:2\nis_a: X:1 {a=b ! c\n"
+        ids, edges, _, report = parse_obo_subset(io.StringIO(text))
+        assert (ids, edges, report.warnings) == (["X:1 {a=b", "X:2"], [("X:2", "X:1 {a=b")], [])
 
     def test_escaped_bang_is_no_comment(self):
         text = "[Term]\nid: X:\\!1\n\n[Term]\nid: X:2\nis_a: X:\\!1 ! root\n"

@@ -108,6 +108,10 @@ def seeded_multi_parent_dag(seed, n=400):
     return ids, edges
 
 
+# a 20,000-term chain; closed into a cycle, the DFS holds every term at once
+CHAIN = [f"c{i}" for i in range(20_000)]
+
+
 class TestBuildParity:
     """build_ontology against the list-then-freeze build kept in helpers."""
 
@@ -166,11 +170,12 @@ class TestBuildParity:
             (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], CycleDetected),
             (["a", "b", "c"], [("c", "b"), ("c", "a"), ("b", "a"), ("a", "c")], CycleDetected),
             (["r"], [("r", "r"), ("r", "r")], CycleDetected),
+            (CHAIN, [*zip(CHAIN[1:], CHAIN), (CHAIN[0], CHAIN[-1])], CycleDetected),
         ],
         ids=[
             "first-duplicate", "duplicate-before-bad-type", "empty-before-duplicate", "int-before-duplicate",
             "none", "bytes", "unhashable-list", "unhashable-dict", "tuple-spec", "dangling", "cycle",
-            "cycle-through-multi-parent-node", "self-loop-repeated",
+            "cycle-through-multi-parent-node", "self-loop-repeated", "chain-closed-into-a-cycle",
         ],
     )
     def test_errors_match(self, terms, edges, error):
