@@ -91,7 +91,8 @@ def load_catalog(source: Union[str, IO[str]]) -> AnnotationCatalog:
     text = source if isinstance(source, str) else source.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder can follow
         raise SchemaViolation("$", f"invalid JSON: {exc}") from exc
     return catalog_from_dict(payload)
 

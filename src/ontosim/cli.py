@@ -10,9 +10,9 @@ Subcommands:
   terms         most common terms across datasets
   search        rank ontology labels and synonyms against a text query
 
-Exit codes: 0 success; 1 malformed input (ontology parse or catalog schema);
-2 cycle in the ontology; 3 I/O failure; 4 unknown term or dataset id;
-5 dataset with no annotated terms; 64 command-line usage error.
+Exit codes: 0 success; 1 malformed input (ontology parse, catalog schema, or
+text that is not UTF-8); 2 cycle in the ontology; 3 I/O failure; 4 unknown
+term or dataset id; 5 dataset with no annotated terms; 64 command-line usage error.
 
 The outputs of term-sim, matrix, doss, doss-matrix, stats and terms carry
 the ontology version string: as ``# ontology_version`` comment lines in CSV
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
-from typing import IO, Iterator
 
 from .catalog import (
     AnnotationCatalog,
@@ -45,6 +45,7 @@ from .errors import (
     EmptyTermList,
     EmptyTermSet,
     OntosimError,
+    ParseError,
     UnknownDataset,
     UnknownTerm,
 )
@@ -63,12 +64,15 @@ from .similarity import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_CYCLE = 2
-EXIT_IO = 3
-EXIT_UNKNOWN_ID = 4
-EXIT_EMPTY_TERMS = 5
 EXIT_USAGE = 64
+# the exit code of an error that main() catches: the first class it is an instance of wins
+EXIT_CODES = (
+    (CycleDetected, 2),
+    ((UnknownTerm, UnknownDataset), 4),
+    ((EmptyTermSet, EmptyTermList), 5),
+    (OntosimError, 1),  # malformed input: parse errors, schema violations, duplicate ids, dangling endpoints
+    (OSError, 3),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,22 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CycleDetected as exc:
+    except (OntosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CYCLE
-    except (UnknownTerm, UnknownDataset) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_ID
-    except (EmptyTermSet, EmptyTermList) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_TERMS
-    except OntosimError as exc:
-        # parse errors, schema violations, duplicate ids, dangling endpoints
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 def _print_warnings(report: ParseReport) -> None:
@@ -240,22 +231,25 @@ def _print_warnings(report: ParseReport) -> None:
         print(f"warning: line {line}: {message}", file=sys.stderr)
 
 
+def _read(path: str, parse):
+    """``parse(fh)`` of the file at ``path`` read as UTF-8, a leading BOM skipped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def _load_graph(args) -> tuple[OntologyGraph, LabelTable, ParseReport]:
+    # each parser is looked up at call time, so a wrapper set on its name here sees the call
     if args.ontology_obo is not None:
-        with open(args.ontology_obo, encoding="utf-8-sig") as fh:
-            terms, edges, labels, report = parse_obo_subset(fh)
+        terms, edges, labels, report = _read(args.ontology_obo, parse_obo_subset)
     else:
-        with open(args.ontology_edges, encoding="utf-8-sig") as fh:
-            terms, edges, report = parse_edge_list(fh)
+        terms, edges, report = _read(args.ontology_edges, parse_edge_list)
         labels = {}
     # before any error that the build or the command raises
     _print_warnings(report)
     return build_ontology(terms, edges), labels, report
-
-
-def _load_catalog(args) -> AnnotationCatalog:
-    with open(args.catalog, encoding="utf-8-sig") as fh:
-        return load_catalog(fh)
 
 
 def _params(args) -> SimilarityParams:
@@ -271,13 +265,19 @@ def _version(args, catalog: AnnotationCatalog | None = None) -> str:
     return "unspecified"
 
 
-@contextlib.contextmanager
-def _out_stream(path: str | None) -> Iterator[IO[str]]:
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+def _write(fmt: str, path: str | None, payload, write) -> None:
+    """One command's output to ``path`` (stdout when None or '-'): the JSON of
+    ``payload()`` for format 'json', else what ``write(fh)`` writes.
+
+    ``payload`` is called only for JSON, so a CSV or text call builds no JSON.
+    """
+    to_file = path is not None and path != "-"
+    with open(path, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            json.dump(payload(), fh, indent=2)
+            fh.write("\n")
+        else:
+            write(fh)
 
 
 def cmd_validate(args) -> int:
@@ -319,17 +319,12 @@ def _stamp(args, catalog: AnnotationCatalog, params: SimilarityParams, **extra) 
 
 def _write_matrix(args, matrix, metadata: dict) -> None:
     # keys the JSON payload already has keep their position
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            json.dump({**matrix.to_json_dict(), **metadata}, fh, indent=2)
-            fh.write("\n")
-        else:
-            matrix.to_csv(fh, metadata=metadata)
+    _write(args.format, args.out, lambda: {**matrix.to_json_dict(), **metadata}, lambda fh: matrix.to_csv(fh, metadata))
 
 
 def cmd_matrix(args) -> int:
     graph, _, _ = _load_graph(args)
-    catalog = _load_catalog(args)
+    catalog = _read(args.catalog, load_catalog)
     params = _params(args)
     matrix = pairwise_matrix(graph, params, catalog_terms(catalog))
     if args.distance:
@@ -340,28 +335,28 @@ def cmd_matrix(args) -> int:
 
 def cmd_doss(args) -> int:
     graph, _, _ = _load_graph(args)
-    catalog = _load_catalog(args)
+    catalog = _read(args.catalog, load_catalog)
     params = _params(args)
     result = doss(graph, params, catalog, args.dataset1, args.dataset2, args.agg)
-    if args.format == "json":
-        payload = {**result.to_json_dict(), **_stamp(args, catalog, params, aggregator=result.aggregator)}
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return EXIT_OK
-    print(f"# ontology_version: {_version(args, catalog)}")
-    print(
-        f"doss({result.source_id}|{result.reference_id}) = {result.value:.6f}"
-        f"  [aggregator={result.aggregator}, symmetrization={result.symmetrization}]"
-    )
-    if args.verbose:
-        for match in result.best_matches:
-            print(f"  {match.source_term} -> {match.best_term}  {match.similarity:.6f}")
+
+    def write_text(fh) -> None:
+        fh.write(f"# ontology_version: {_version(args, catalog)}\n")
+        fh.write(
+            f"doss({result.source_id}|{result.reference_id}) = {result.value:.6f}"
+            f"  [aggregator={result.aggregator}, symmetrization={result.symmetrization}]\n"
+        )
+        if args.verbose:
+            for match in result.best_matches:
+                fh.write(f"  {match.source_term} -> {match.best_term}  {match.similarity:.6f}\n")
+
+    stamp = _stamp(args, catalog, params, aggregator=result.aggregator)
+    _write(args.format, None, lambda: {**result.to_json_dict(), **stamp}, write_text)  # doss has no --out
     return EXIT_OK
 
 
 def cmd_doss_matrix(args) -> int:
     graph, _, _ = _load_graph(args)
-    catalog = _load_catalog(args)
+    catalog = _read(args.catalog, load_catalog)
     params = _params(args)
     matrix = doss_matrix(graph, params, catalog, args.agg)
     for dataset_id in matrix.excluded:
@@ -371,79 +366,72 @@ def cmd_doss_matrix(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    catalog = _load_catalog(args)
+    catalog = _read(args.catalog, load_catalog)
     stats = coverage_stats(catalog)
-    rows = [(catalog.dataset(row.dataset_id), row) for row in stats.per_dataset]
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = {
-                "ontology_version": catalog.ontology_version,
-                "datasets": [
-                    {
-                        "id": row.dataset_id,
-                        "name": ds.name,
-                        "origin": list(ds.origin),
-                        "category": ds.category,
-                        "feature_count": row.feature_count,
-                        "annotated_count": row.annotated_count,
-                        "coverage": round(row.coverage_fraction, 6),
-                    }
-                    for ds, row in rows
-                ],
-                "global": {
-                    "distinct_feature_names": stats.distinct_feature_name_count,
-                    "distinct_terms": stats.distinct_term_count,
-                    "coverage": round(stats.global_coverage_fraction, 6),
-                },
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(f"# ontology_version: {catalog.ontology_version}\n")
-            fh.write(csv_line(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"]))
-            for ds, row in rows:
-                fields = [ds.id, ds.name, ",".join(ds.origin), ds.category,
-                          row.feature_count, row.annotated_count, f"{row.coverage_fraction:.6f}"]
-                fh.write(csv_line(fields))
-            fh.write(f"# distinct_feature_names: {stats.distinct_feature_name_count}\n")
-            fh.write(f"# distinct_terms: {stats.distinct_term_count}\n")
-            fh.write(f"# global_coverage: {stats.global_coverage_fraction:.6f}\n")
+    rows = list(zip(catalog.datasets, stats.per_dataset))
+
+    def payload() -> dict:
+        return {
+            "ontology_version": catalog.ontology_version,
+            "datasets": [
+                {
+                    "id": ds.id,
+                    "name": ds.name,
+                    "origin": list(ds.origin),
+                    "category": ds.category,
+                    "feature_count": row.feature_count,
+                    "annotated_count": row.annotated_count,
+                    "coverage": round(row.coverage_fraction, 6),
+                }
+                for ds, row in rows
+            ],
+            "global": {
+                "distinct_feature_names": stats.distinct_feature_name_count,
+                "distinct_terms": stats.distinct_term_count,
+                "coverage": round(stats.global_coverage_fraction, 6),
+            },
+        }
+
+    def write_csv(fh) -> None:
+        fh.write(f"# ontology_version: {catalog.ontology_version}\n")
+        fh.write(csv_line(["id", "name", "origin", "category", "feature_count", "annotated_count", "coverage"]))
+        for ds, row in rows:
+            fields = [ds.id, ds.name, ",".join(ds.origin), ds.category,
+                      row.feature_count, row.annotated_count, f"{row.coverage_fraction:.6f}"]
+            fh.write(csv_line(fields))
+        fh.write(f"# distinct_feature_names: {stats.distinct_feature_name_count}\n")
+        fh.write(f"# distinct_terms: {stats.distinct_term_count}\n")
+        fh.write(f"# global_coverage: {stats.global_coverage_fraction:.6f}\n")
+
+    _write(args.format, args.out, payload, write_csv)
     return EXIT_OK
 
 
 def cmd_terms(args) -> int:
-    catalog = _load_catalog(args)
+    catalog = _read(args.catalog, load_catalog)
     rows = term_frequency_report(catalog)
     if args.top is not None:
         rows = rows[: args.top]
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = {
-                "ontology_version": catalog.ontology_version,
-                "terms": [
-                    {
-                        "term": row.term,
-                        "dataset_count": row.dataset_count,
-                        "unique_name_count": row.unique_name_count,
-                        "example_names": list(row.example_names),
-                    }
-                    for row in rows
-                ],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(f"# ontology_version: {catalog.ontology_version}\n")
-            fh.write(csv_line(["term", "dataset_count", "unique_name_count", "example_names"]))
-            for row in rows:
-                fh.write(csv_line([row.term, row.dataset_count, row.unique_name_count, ", ".join(row.example_names)]))
+
+    def write_csv(fh) -> None:
+        fh.write(f"# ontology_version: {catalog.ontology_version}\n")
+        fh.write(csv_line(["term", "dataset_count", "unique_name_count", "example_names"]))
+        for row in rows:
+            fh.write(csv_line([row.term, row.dataset_count, row.unique_name_count, ", ".join(row.example_names)]))
+
+    _write(
+        args.format,
+        args.out,
+        # TermUsage's fields are the JSON keys, in order
+        lambda: {"ontology_version": catalog.ontology_version, "terms": [dataclasses.asdict(row) for row in rows]},
+        write_csv,
+    )
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     if args.ontology_obo is None:
-        with open(args.labels, encoding="utf-8-sig") as fh:
-            labels, report = parse_labels(fh)
+        labels, report = _read(args.labels, parse_labels)
         _print_warnings(report)
     else:
         # building the graph is the check that the OBO is a DAG with unique ids

@@ -139,14 +139,16 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
 
     Returns term ids and edges as :func:`parse_edge_list` does, plus the
     label table of the terms that have a name or a synonym, in stanza order.
-    ``is_a`` targets that never get their own stanza are emitted as bare
-    terms (with a warning) so that no edge references an undeclared term.
+    ``is_a`` targets that never get their own stanza, or whose stanza is
+    obsolete, are emitted as bare terms (with a warning) so that no edge
+    references an undeclared term.
     """
     ids: list[str] = []
     edges: list[tuple[str, str]] = []
     labels: LabelTable = {}
     report = ParseReport()
     referenced: dict[str, int] = {}
+    skipped: set[str] = set()  # ids of obsolete stanzas
 
     # the open [Term] stanza; start is its header line, 0 when none is open
     start, term_id, name, synonyms, is_a, obsolete = 0, None, None, [], [], False
@@ -160,6 +162,7 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
                 if term_id is None:
                     raise MalformedStanza("[Term] stanza has no id:", line=start)
                 if obsolete:
+                    skipped.add(term_id)
                     report.warnings.append((start, f"skipped obsolete term {term_id}"))
                 else:
                     ids.append(term_id)
@@ -215,7 +218,8 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
     for target, lineno in referenced.items():
         if target not in declared:
             ids.append(target)
-            report.warnings.append((lineno, f"parent {target} referenced but not defined; added as bare term"))
+            why = "is obsolete" if target in skipped else "referenced but not defined"
+            report.warnings.append((lineno, f"parent {target} {why}; added as bare term"))
 
     if not ids:
         raise EmptyInput("no [Term] stanzas found")

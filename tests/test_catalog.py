@@ -57,8 +57,10 @@ class TestLoadCatalog:
             assert load_catalog(fh).dataset_ids() == ("D1",)
 
     def test_invalid_json(self):
-        with pytest.raises(SchemaViolation):
-            load_catalog("{not json")
+        # the second text nests deeper than the JSON decoder recurses
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            with pytest.raises(SchemaViolation, match=r"^\$: invalid JSON: "):
+                load_catalog(text)
 
     def test_duplicate_dataset_id(self):
         ds = minimal()["datasets"][0]

@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
+import ontosim.cli
 from ontosim import SimilarityMatrix
-from ontosim.cli import build_arg_parser, main
+from ontosim.cli import EXIT_CODES, build_arg_parser, main
 from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
 
@@ -435,10 +436,12 @@ class TestStatsAndTerms:
 
     def test_schema_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
-        path.write_text('{"ontology_version": "x", "datasets": [{"id": "D"}]}', encoding="utf-8")
-        code, _, err = run(capsys, "stats", "--catalog", str(path))
-        assert code == 1
-        assert "$" in err
+        # the second text nests deeper than the JSON decoder recurses
+        for text in ('{"ontology_version": "x", "datasets": [{"id": "D"}]}', "[" * 100_000 + "]" * 100_000):
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "stats", "--catalog", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: $") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["id", "name"])
     def test_whitespace_only_catalog_string_exits_1(self, capsys, tmp_path, field):
@@ -596,6 +599,13 @@ class TestOptionSurface:
 
     def test_options_per_subcommand(self):
         assert self.surface() == {name: sorted(options) for name, options in self.EXPECTED.items()}
+
+    def test_readme_and_docstring_exit_codes_match_the_table(self):
+        expected = sorted([0, 64, *(code for _, code in EXIT_CODES)])
+        table = README.read_text(encoding="utf-8").split("Exit codes:", 1)[1].split("\n\n")[1]
+        listed = ontosim.cli.__doc__.split("Exit codes:", 1)[1].split("\n\n")[0]
+        assert sorted(int(code) for code in re.findall(r"^\| (\d+) +\|", table, flags=re.MULTILINE)) == expected
+        assert sorted(int(code) for code in re.findall(r"(?:^|;)\s*(\d+) ", listed)) == expected
 
     def test_readme_flag_list_matches_parser(self):
         # the paragraph that defines ONTOLOGY and SCORING, then one bullet per command
@@ -840,3 +850,18 @@ class TestInputEncoding:
         expected = run(capsys, *argv, flag, str(plain))
         assert expected[0] == 0
         assert run(capsys, *argv, flag, str(bom)) == expected
+
+    @pytest.mark.parametrize(
+        "argv, flag, name, content",
+        [
+            (["validate"], "--ontology-edges", "edges.tsv", b"caf\xe9\tr\n"),
+            (["validate"], "--ontology-obo", "terms.obo", b"[Term]\nid: caf\xe9\n"),
+            (["search", "a"], "--labels", "labels.tsv", b"a\tcaf\xe9\n"),
+            (["stats"], "--catalog", "catalog.json", (FIXTURES / "toy_catalog.json").read_bytes().replace(b"toy-1", b"caf\xe9")),
+        ],
+        ids=["edge-list", "obo", "labels", "catalog"],
+    )
+    def test_non_utf8_input_exits_1_naming_the_file(self, capsys, tmp_path, argv, flag, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert run(capsys, *argv, flag, str(path)) == (1, "", f"error: {path}: not UTF-8 text\n")

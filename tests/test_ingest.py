@@ -199,6 +199,18 @@ class TestOboSubset:
         assert labels == {"X:1": ("ok", ())}
         assert len(report.warnings) == 1
 
+    def test_child_of_an_obsolete_term_says_the_parent_is_obsolete(self):
+        text = "[Term]\nid: X:1\n\n[Term]\nid: X:2\nis_obsolete: true\n\n[Term]\nid: X:3\nis_a: X:2\nis_a: X:9\n"
+        ids, edges, _, report = parse_obo_subset(io.StringIO(text))
+        # the obsolete parent is still added as a bare term, like an undefined one
+        assert ids == ["X:1", "X:3", "X:2", "X:9"]
+        assert edges == [("X:3", "X:2"), ("X:3", "X:9")]
+        assert report.warnings == [
+            (4, "skipped obsolete term X:2"),
+            (10, "parent X:2 is obsolete; added as bare term"),
+            (11, "parent X:9 referenced but not defined; added as bare term"),
+        ]
+
     def test_synonym_takes_first_quoted_text_only(self):
         text = '[Term]\nid: X:1\nsynonym: "the real one" EXACT [db:123]\n'
         _, _, labels, _ = parse_obo_subset(io.StringIO(text))

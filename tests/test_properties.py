@@ -7,8 +7,9 @@ weight, because there the float kernel cannot keep the bounds.
 
 import contextlib
 import io
+import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ontosim import (
@@ -22,6 +23,7 @@ from ontosim import (
     nearest_terms,
     pairwise_matrix,
     parse_edge_list,
+    parse_obo_subset,
     sim_rm,
     sim_rm_directed,
     sim_rows,
@@ -30,7 +32,7 @@ from ontosim import (
 from ontosim.cli import main
 from ontosim.similarity import MAX_WEIGHT, MIN_WEIGHT
 from conftest import FIXTURES, TOY_TERMS
-from helpers import DfsOracle, outcome, reference_build_ontology, reference_parse_edge_list, shape
+from helpers import DfsOracle, outcome, random_dag, reference_build_ontology, reference_parse_edge_list, shape
 
 UNKNOWN = ("u0", "u1", "u2", "u3")
 POLICIES = ("as-printed", "mean-of-directions")
@@ -239,3 +241,51 @@ def test_edge_list_ingest_matches_reference(lines):
     got = outcome(build_from_text, parse_edge_list, build_ontology, lines)
     expected = outcome(build_from_text, reference_parse_edge_list, reference_build_ontology, lines)
     assert shape(got) == shape(expected)
+
+
+def obo_quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+@st.composite
+def decorated_obo(draw):
+    """A random DAG as a plain edge list, and as OBO whose id: and is_a:
+    values carry optional trailing {...} modifier blocks, with '!' or '}' in
+    their quoted values, and '! comments'. Every stanza has a synonym holding
+    an escaped quote. Returns (edge-list lines, OBO text, synonym per id)."""
+    _, edges = random_dag(random.Random(draw(st.integers(0, 2**32))), max_nodes=12)
+    assume(edges)
+    lines = [f"{child}\t{parent}\n" for child, parent in edges]
+    loose = st.text(alphabet='ab !{}"\\', max_size=6)
+
+    # a value, then a modifier block, a comment, both or neither
+    forms = st.sampled_from((
+        "{0}", "{0} {{source={1}}}", "{0} {{source={1}, note=x}}", "{0} ! {2}", "{0}!{2}", "{0} {{source={1}}} !{2}",
+    ))
+
+    def value(term):
+        text = draw(loose)
+        return draw(forms).format(term, obo_quoted(text), text)
+
+    parents = {}
+    for child, parent in edges:
+        parents.setdefault(child, []).append(parent)
+    synonyms, stanzas = {}, []
+    # stanzas in the edge list's first-appearance order, so ids compare in order
+    for term in parse_edge_list(lines)[0]:
+        synonyms[term] = f'{draw(loose)}"{term}"'
+        body = [f"id: {value(term)}", f"synonym: {obo_quoted(synonyms[term])} EXACT []"]
+        body += [f"is_a: {value(parent)}" for parent in parents.get(term, ())]
+        stanzas.append("[Term]\n" + "\n".join(body) + "\n")
+    return lines, "\n".join(stanzas), synonyms
+
+
+@fast
+@given(decorated_obo())
+def test_decorated_obo_parses_to_its_edge_list(case):
+    lines, obo, synonyms = case
+    ids, edges, _ = parse_edge_list(lines)
+    obo_ids, obo_edges, labels, obo_report = parse_obo_subset(io.StringIO(obo))
+    assert (obo_ids, obo_edges) == (ids, edges)
+    assert labels == {term: (None, (text,)) for term, text in synonyms.items()}
+    assert obo_report.warnings == []
