@@ -4,7 +4,9 @@ A catalog maps datasets to their features and each feature optionally to an
 ontology term id. Term ids are deliberately NOT validated against an
 ontology at load time (catalogs are shareable, full ontologies often are
 not); similarity operations raise UnknownTerm when they first touch a term
-the graph does not contain.
+the graph does not contain. doss and doss_matrix score a dataset on
+``DatasetRecord.terms``, its distinct annotated terms sorted ascending,
+derived once when the record is built.
 
 Catalog JSON schema (canonical form):
 
@@ -46,6 +48,10 @@ class DatasetRecord:
     origin: tuple[str, ...]
     category: str
     features: tuple[FeatureRecord, ...]
+    terms: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(sorted({f.term for f in self.features if f.term is not None})))
 
 
 @dataclass(frozen=True)
@@ -254,18 +260,12 @@ def term_frequency_report(catalog: AnnotationCatalog) -> list[TermUsage]:
 
 def term_set(catalog: AnnotationCatalog, dataset_id: str) -> frozenset[str]:
     """The SET of terms annotating a dataset's features; duplicates collapse."""
-    record = catalog.dataset(dataset_id)
-    return frozenset(f.term for f in record.features if f.term is not None)
+    return frozenset(catalog.dataset(dataset_id).terms)
 
 
 def catalog_terms(catalog: AnnotationCatalog) -> tuple[str, ...]:
     """Every distinct annotated term in the catalog, sorted ascending."""
-    terms: set[str] = set()
-    for ds in catalog.datasets:
-        for f in ds.features:
-            if f.term is not None:
-                terms.add(f.term)
-    return tuple(sorted(terms))
+    return tuple(sorted(set().union(*(ds.terms for ds in catalog.datasets))))
 
 
 @dataclass(frozen=True)

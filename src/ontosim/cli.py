@@ -216,8 +216,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one CLI call and return its exit code; a usage error raises ``SystemExit(64)``.
 
     The argument parser is built once per process, on the first call, and
-    every later call in the process reuses it.
+    every later call in the process reuses it. Stdout is written as UTF-8.
     """
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)

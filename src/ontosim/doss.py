@@ -86,8 +86,8 @@ def doss(
     EmptyTermSet naming the offending dataset.
     """
     h = get_aggregator(aggregator)
-    source_terms = sorted(term_set(catalog, source_id))
-    reference_terms = sorted(term_set(catalog, reference_id))
+    source_terms = catalog.dataset(source_id).terms
+    reference_terms = catalog.dataset(reference_id).terms
     if not source_terms:
         raise EmptyTermSet(source_id)
     if not reference_terms:
@@ -147,21 +147,12 @@ def doss_matrix(
     the same values :func:`doss` gives.
     """
     h = get_aggregator(aggregator)
-    included: list[str] = []
-    excluded: list[str] = []
-    term_lists: list[list[str]] = []
-    for ds in catalog.datasets:
-        terms = sorted(term_set(catalog, ds.id))
-        if terms:
-            included.append(ds.id)
-            term_lists.append(terms)
-        else:
-            excluded.append(ds.id)
+    scored = [catalog.dataset(ds.id) for ds in catalog.datasets]  # a repeated id scores as its first record
     all_terms = catalog_terms(catalog)
 
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)
-    indexes = [[position[t] for t in terms] for terms in term_lists]
+    indexes = [[position[t] for t in ds.terms] for ds in scored if ds.terms]
     # best[j][s]: the best score of term s against reference j, taken once.
     # columns[r][s] is term_matrix[s][r]; the first column is repeated so
     # that a one-term reference still gives max two arguments.
@@ -170,7 +161,9 @@ def doss_matrix(
     values = tuple(
         tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes
     )
-    return DossMatrix(tuple(included), values, aggregator, params.symmetrization, tuple(excluded))
+    included = tuple(ds.id for ds in scored if ds.terms)
+    excluded = tuple(ds.id for ds in scored if not ds.terms)
+    return DossMatrix(included, values, aggregator, params.symmetrization, excluded)
 
 
 def shared_term_count(catalog: AnnotationCatalog, d1: str, d2: str) -> int:

@@ -63,4 +63,7 @@ def read_matrix_csv(lines: Iterable[str]) -> tuple[tuple[str, ...], tuple[tuple[
     values = tuple(tuple(float(cell) for cell in row[1:]) for row in rows[1:])
     if len(values) != len(labels) or any(len(row) != len(labels) for row in values):
         raise ValueError("matrix file is not square")
+    for row, label in zip(rows[1:], labels):
+        if row[0] != label:
+            raise ValueError(f"row label {row[0]!r} does not match column label {label!r}")
     return labels, values

@@ -232,9 +232,11 @@ class TestTermSet:
                            {"name": "sex", "term": "T2"}]}
         catalog = catalog_from_dict(minimal(datasets=[ds]))
         assert term_set(catalog, "A") == {"T1", "T2"}
+        assert catalog.dataset("A").terms == ("T1", "T2")
 
     def test_unannotated_features_contribute_nothing(self, toy_catalog):
         assert term_set(toy_catalog, "DE") == frozenset()
+        assert toy_catalog.dataset("DE").terms == ()
 
     def test_idempotent_under_feature_duplication(self):
         base = {"id": "A", "name": "", "origin": [], "category": "EHR",

@@ -540,8 +540,8 @@ class TestSearch:
 
 
 class TestPinnedOutput:
-    """The healthcare matrices' stdout, byte for byte: a faster kernel, DOSS
-    fold or writer must not move a single character."""
+    """The healthcare matrices' and one DOSS pair's stdout, byte for byte: a
+    faster kernel, DOSS fold or writer must not move a single character."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -556,8 +556,10 @@ class TestPinnedOutput:
                 ["doss-matrix", "--symmetrize", "as-printed"],
                 "4f447c93fc359239f887b0c348e0b144f02329f14872b25bc42141b284f8966c",
             ),
+            (["doss", "1", "2", "--verbose"], "e27d0b3628d61c5f8af0a54f10b65ff65063b7a62cb81b1d5f91d78bc292317e"),
+            (["doss", "1", "2", "--format", "json"], "1f4539d61f6c55d119ba5feb42652a257959f7ae288c741ebe158bbb0cd5d7d9"),
         ],
-        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed"],
+        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed", "doss-verbose", "doss-json"],
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv, "--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH)
@@ -865,3 +867,15 @@ class TestInputEncoding:
         path = tmp_path / name
         path.write_bytes(content)
         assert run(capsys, *argv, flag, str(path)) == (1, "", f"error: {path}: not UTF-8 text\n")
+
+    def test_stdout_is_utf8_whatever_the_stream_encoding(self, tmp_path):
+        # an ASCII stdout used to end this call in a UnicodeEncodeError traceback
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("a\tcafé\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src"), "PYTHONIOENCODING": "ascii"}
+        result = subprocess.run(
+            [sys.executable, "-m", "ontosim.cli", "search", "caf", "--labels", str(labels)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == "a\tcafé\t0.750000\n".encode("utf-8")

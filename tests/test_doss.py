@@ -7,7 +7,10 @@ import pytest
 
 from ontosim import (
     AGGREGATORS,
+    AnnotationCatalog,
+    DatasetRecord,
     EmptyTermSet,
+    FeatureRecord,
     SimilarityMatrix,
     SimilarityParams,
     UnknownDataset,
@@ -230,6 +233,18 @@ class TestDossMatrix:
             assert m.values == expected
             assert m.values[0] == m.values[2]
 
+    def test_repeated_id_scores_its_first_record(self, toy_graph, default_params):
+        # a hand-built catalog is not checked for repeated ids; catalog.dataset()
+        # resolves an id to its first record, and both rows score as that record
+        catalog = AnnotationCatalog("test", (
+            DatasetRecord("A", "first", (), "EHR", (FeatureRecord("f", "b"),)),
+            DatasetRecord("A", "second", (), "EHR", (FeatureRecord("f", "c"),)),
+        ))
+        m = doss_matrix(toy_graph, default_params, catalog)
+        assert m.dataset_ids == ("A", "A")
+        assert m.values == ((1.0, 1.0), (1.0, 1.0))
+        assert all(cell == doss(toy_graph, default_params, catalog, "A", "A").value for row in m.values for cell in row)
+
     def test_csv_with_awkward_dataset_ids(self, toy_graph, default_params):
         catalog = make_catalog({"D,1": ["a", "b"], 'D"2': ["c"], "plain": ["r"]})
         m = doss_matrix(toy_graph, default_params, catalog)
@@ -256,8 +271,9 @@ class TestDossMatrix:
             ("# aggregator: mean\n", "matrix file has no header row"),
             (",a,b\na,1.000000,0.500000\n", "matrix file is not square"),
             (",a,b\na,1.000000\nb,0.500000,1.000000\n", "matrix file is not square"),
+            (",a,b\nx,1.0,0.5\ny,0.5,1.0\n", "row label 'x' does not match column label 'a'"),
         ],
-        ids=["no-header-row", "missing-row", "short-row"],
+        ids=["no-header-row", "missing-row", "short-row", "mismatched-row-label"],
     )
     def test_read_matrix_csv_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
