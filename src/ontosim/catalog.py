@@ -217,7 +217,9 @@ def coverage_stats(catalog: AnnotationCatalog) -> CoverageStats:
     annotated_total = 0
     for ds in catalog.datasets:
         annotated = sum(1 for f in ds.features if f.term is not None)
-        per.append(DatasetCoverage(ds.id, len(ds.features), annotated, annotated / len(ds.features)))
+        # the JSON schema rejects a featureless dataset; a hand-built one covers 0.0
+        coverage = annotated / len(ds.features) if ds.features else 0.0
+        per.append(DatasetCoverage(ds.id, len(ds.features), annotated, coverage))
         feature_total += len(ds.features)
         annotated_total += annotated
         for f in ds.features:
@@ -279,9 +281,10 @@ def search_labels(labels: LabelTable, query: str, k: int) -> list[LabelMatch]:
     """Case-insensitive substring search over labels and synonyms.
 
     Matches are ranked by (exact match, prefix match, substring position,
-    matched-text length), ties by ascending term id. The reported score is
-    len(query) / len(matched text), i.e. 1.0 only for an exact match. An
-    empty query returns no matches.
+    matched-text length), ties by ascending term id. The matched text is
+    measured lower-cased, as the query was found in it, so the reported
+    score len(query) / len(matched text) is at most 1, and 1.0 only for an
+    exact match. An empty query returns no matches.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -297,11 +300,11 @@ def search_labels(labels: LabelTable, query: str, k: int) -> list[LabelMatch]:
             pos = lowered.find(needle)
             if pos < 0:
                 continue
-            rank = (lowered != needle, pos != 0, pos, len(text))
+            rank = (lowered != needle, pos != 0, pos, len(lowered))
             if best is None or rank < best[0]:
                 best = (rank, text)
         if best is not None:
             rank, text = best
-            hits.append((rank, term_id, label or text, len(needle) / len(text)))
+            hits.append((rank, term_id, label or text, len(needle) / rank[-1]))  # the lower-cased length
     hits.sort(key=lambda hit: (hit[0], hit[1]))
     return [LabelMatch(term_id, label, score) for _, term_id, label, score in hits[:k]]

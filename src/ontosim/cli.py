@@ -59,8 +59,6 @@ from .similarity import (
     SYMMETRIZE_MEAN,
     SimilarityParams,
     pairwise_matrix,
-    sim_rm,
-    sim_rm_directed,
 )
 
 EXIT_OK = 0
@@ -118,8 +116,8 @@ def _add_ontology_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scoring_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_weight, default=7.9, help="weight of the source term's unshared information (default 7.9)")
-    parser.add_argument("--beta", type=_weight, default=3.9, help="weight of the target term's unshared information (default 3.9)")
+    parser.add_argument("--alpha", type=_weight, default=SimilarityParams.alpha, help="weight of the source term's unshared information (default %(default)s)")
+    parser.add_argument("--beta", type=_weight, default=SimilarityParams.beta, help="weight of the target term's unshared information (default %(default)s)")
     parser.add_argument(
         "--symmetrize",
         choices=("as-printed", "mean"),
@@ -216,10 +214,14 @@ def main(argv: list[str] | None = None) -> int:
     """Run one CLI call and return its exit code; a usage error raises ``SystemExit(64)``.
 
     The argument parser is built once per process, on the first call, and
-    every later call in the process reuses it. Stdout is written as UTF-8.
+    every later call in the process reuses it. Stdout and stderr are
+    written as UTF-8.
     """
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
+    if hasattr(sys.stderr, "reconfigure"):
+        # stderr's own error handler, so a path with an undecodable byte still prints
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -294,17 +296,17 @@ def cmd_term_sim(args) -> int:
     graph, _, _ = _load_graph(args)
     params = _params(args)
     t1, t2 = args.term1, args.term2
-    d12 = sim_rm_directed(graph, params, t1, t2)
-    d21 = sim_rm_directed(graph, params, t2, t1)
-    combined = sim_rm(graph, params, t1, t2)
+    # psi resolves both ids in one call, so UnknownTerm names both; the thetas are then memo hits
+    psi = graph.psi(t1, t2)
+    theta1, theta2 = graph.theta(t1), graph.theta(t2)
     print(f"# ontology_version: {_version(args)}")
     print(f"# alpha: {params.alpha}  beta: {params.beta}")
-    print(f"theta({t1}) = {graph.theta(t1)}")
-    print(f"theta({t2}) = {graph.theta(t2)}")
-    print(f"psi({t1},{t2}) = {graph.psi(t1, t2)}")
-    print(f"sim({t1}->{t2}) = {d12:.6f}")
-    print(f"sim({t2}->{t1}) = {d21:.6f}")
-    print(f"sim[{params.symmetrization}] = {combined:.6f}")
+    print(f"theta({t1}) = {theta1}")
+    print(f"theta({t2}) = {theta2}")
+    print(f"psi({t1},{t2}) = {psi}")
+    print(f"sim({t1}->{t2}) = {params.directed(theta1, theta2, psi):.6f}")
+    print(f"sim({t2}->{t1}) = {params.directed(theta2, theta1, psi):.6f}")
+    print(f"sim[{params.symmetrization}] = {params.score(theta1, theta2, psi):.6f}")
     return EXIT_OK
 
 

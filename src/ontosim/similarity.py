@@ -57,6 +57,16 @@ class SimilarityParams:
                 f"symmetrization must be one of {SYMMETRIZATIONS}, got {self.symmetrization!r}"
             )
 
+    def directed(self, theta1: int, theta2: int, psi: int) -> float:
+        """The module docstring's directed ratio of one (theta1, theta2, psi) triple."""
+        return theta1 / (self.alpha * (theta1 - psi) + self.beta * (theta2 - psi) + theta1)
+
+    def score(self, theta1: int, theta2: int, psi: int) -> float:
+        """The score of the (theta1, theta2, psi) triple under the policy."""
+        if self.symmetrization == SYMMETRIZE_MEAN:
+            return (self.directed(theta1, theta2, psi) + self.directed(theta2, theta1, psi)) / 2.0
+        return self.directed(theta1, theta2, psi)
+
 
 def sim_rows(
     graph: OntologyGraph,
@@ -67,25 +77,15 @@ def sim_rows(
     """Scores of every row term against every column term under the
     configured policy: one tuple per row, in column order.
 
-    This is the only place the ratio is evaluated. Each term's closure and
-    theta are read once and each pair's psi is computed once. A score
-    depends on nothing but the (theta1, theta2, psi) triple, so each
-    distinct triple is scored once per call and its score reused for every
-    pair that shares it; under mean-of-directions both directions come
-    from that one triple. UnknownTerm names every unknown id once, rows
-    first.
+    Each term's closure and theta are read once and each pair's psi is
+    computed once. A score depends on nothing but the (theta1, theta2, psi)
+    triple, so each distinct triple is scored once per call by
+    ``params.score`` and its score reused for every pair that shares it;
+    under mean-of-directions both directions come from that one triple.
+    UnknownTerm names every unknown id once, rows first.
     """
-    alpha, beta = params.alpha, params.beta
+    score = params.score
     mean = params.symmetrization == SYMMETRIZE_MEAN
-
-    def ratio(theta1: int, theta2: int, psi: int) -> float:
-        return theta1 / (alpha * (theta1 - psi) + beta * (theta2 - psi) + theta1)
-
-    def score(theta1: int, theta2: int, psi: int) -> float:
-        if mean:
-            return (ratio(theta1, theta2, psi) + ratio(theta2, theta1, psi)) / 2.0
-        return ratio(theta1, theta2, psi)
-
     # A square mean-of-directions matrix is symmetric and float + commutes,
     # so the lower triangle is copied from the upper one bit for bit.
     rows, cols = list(rows), list(cols)
@@ -98,15 +98,14 @@ def sim_rows(
     # masks as narrow as this call allows.
     universe = dict.fromkeys(chain.from_iterable(row_closures))
     bit_of = {node: 1 << bit for bit, node in enumerate(universe)}.get
-
-    def project(closure: tuple[int, ...]) -> int:
+    masks = []
+    for closure in closures:
         mask = 0
         for node in closure:
             mask |= bit_of(node, 0)
-        return mask
-
-    row_masks = [project(closure) for closure in row_closures]
-    col_masks = row_masks if square else [project(closure) for closure in col_closures]
+        masks.append(mask)
+    row_masks = masks[: len(rows)]
+    col_masks = row_masks if square else masks[len(rows) :]
     col_thetas = [len(closure) for closure in col_closures]
     scores: dict[tuple[int, int, int], float] = {}
     get = scores.get

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from ontosim import (
+    AnnotationCatalog,
+    DatasetRecord,
     DuplicateDatasetId,
     DuplicateFeatureName,
+    FeatureRecord,
     SchemaViolation,
     UnknownCategory,
     UnknownDataset,
@@ -191,6 +194,16 @@ class TestCoverageStats:
         assert stats.distinct_feature_name_count == 1
         assert stats.distinct_term_count == 2
 
+    def test_featureless_record_covers_zero(self):
+        # the JSON schema rejects a dataset without features; a hand-built record can have none
+        catalog = AnnotationCatalog("v", (
+            DatasetRecord("A", "n", (), "EHR", ()),
+            DatasetRecord("B", "n", (), "EHR", (FeatureRecord("f", "T1"),)),
+        ))
+        stats = coverage_stats(catalog)
+        assert [(c.feature_count, c.coverage_fraction) for c in stats.per_dataset] == [(0, 0.0), (1, 1.0)]
+        assert stats.global_coverage_fraction == 1.0
+
 
 class TestTermFrequencyReport:
     def test_single_row(self):
@@ -260,12 +273,18 @@ class TestSearchLabels:
         "200": ("Liver panel analyte", ["Total Bilirubin", "BIL"]),
         "300": ("Gender", ["sex"]),
         "400": ("Percentage of age group", []),
+        "500": ("\u0130", []),  # İ lower-cases to two characters, "i\u0307"
     }
 
     def test_exact_match_ranks_first(self):
         matches = search_labels(self.LABELS, "age", 5)
         assert matches[0].term == "100"
         assert matches[0].score == 1.0
+        # the score measures the lower-cased text the query was found in
+        matches = search_labels(self.LABELS, "\u0130", 5)
+        assert [(m.term, m.score) for m in matches] == [("500", 1.0)]
+        for query in ("age", "e", "i", "\u0130"):
+            assert all(m.score <= 1.0 for m in search_labels(self.LABELS, query, 10))
 
     def test_no_match(self):
         assert search_labels(self.LABELS, "zzz", 5) == []

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import ontosim.cli
-from ontosim import SimilarityMatrix
+from ontosim import SimilarityMatrix, SimilarityParams, catalog_terms, sim_rm, sim_rm_directed
 from ontosim.cli import EXIT_CODES, build_arg_parser, main
 from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
@@ -143,6 +144,33 @@ class TestTermSim:
             "--alpha", "0", "--beta", "0",
         )
         assert parse_kv_lines(out)["sim[mean-of-directions]"] == "1.000000"
+
+    @pytest.mark.parametrize(
+        "options, policy, alpha, beta",
+        [
+            ([], "mean-of-directions", 7.9, 3.9),
+            (["--symmetrize", "as-printed"], "as-printed", 7.9, 3.9),
+            (["--alpha", "2", "--beta", "0.5"], "mean-of-directions", 2.0, 0.5),
+        ],
+        ids=["mean", "as-printed", "weights"],
+    )
+    def test_scores_equal_the_library_kernel(self, capsys, healthcare_graph, healthcare_catalog, options, policy, alpha, beta):
+        # term-sim scores the theta and psi it prints; the kernel scores them through sim_rows
+        graph, params = healthcare_graph, SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
+        rng = random.Random(20)
+        terms = catalog_terms(healthcare_catalog)
+        pairs = [tuple(rng.sample(terms, 2)) for _ in range(5)] + [(terms[7], terms[7])]
+        for t1, t2 in pairs:
+            code, out, err = run(capsys, "term-sim", t1, t2, "--ontology-edges", HC_EDGES_PATH, *options)
+            assert (code, err) == (0, "")
+            assert parse_kv_lines(out) == {
+                f"theta({t1})": str(graph.theta(t1)),
+                f"theta({t2})": str(graph.theta(t2)),
+                f"psi({t1},{t2})": str(graph.psi(t1, t2)),
+                f"sim({t1}->{t2})": f"{sim_rm_directed(graph, params, t1, t2):.6f}",
+                f"sim({t2}->{t1})": f"{sim_rm_directed(graph, params, t2, t1):.6f}",
+                f"sim[{policy}]": f"{sim_rm(graph, params, t1, t2):.6f}",
+            }
 
 
 class TestMatrix:
@@ -879,3 +907,14 @@ class TestInputEncoding:
         )
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == "a\tcafé\t0.750000\n".encode("utf-8")
+
+    def test_stderr_is_utf8_whatever_the_stream_encoding(self):
+        # an ASCII stderr used to print the id as 'caf\xe9'
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src"), "PYTHONIOENCODING": "ascii"}
+        result = subprocess.run(
+            [sys.executable, "-m", "ontosim.cli", "doss", "café", "D1",
+             "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (4, b"")
+        assert result.stderr == "error: unknown dataset id: 'café'\n".encode("utf-8")

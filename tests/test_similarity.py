@@ -263,6 +263,12 @@ class TestKernel:
                 else:
                     expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
                 assert row == expected
+        # the kernel's cells are SimilarityParams.score of each pair's triple, bit for bit
+        g = healthcare_graph
+        rows, cols = shapes[2]
+        got = sim_rows(g, params, rows, cols)
+        for t1, row in zip(rows, got):
+            assert row == tuple(params.score(g.theta(t1), g.theta(t2), g.psi(t1, t2)) for t2 in cols)
 
     @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
     @pytest.mark.parametrize("alpha, beta", [(7.9, 3.9), (2, 0.5), (0, 3), (3, 0)])
