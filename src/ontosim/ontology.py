@@ -5,8 +5,8 @@ reachable through child -> parent edges") are computed lazily per requested
 term and memoised, keyed by term id, as tuples of node indexes, so memory
 grows linearly with the summed ancestor-set sizes of the queried terms,
 whatever the size of the ontology. Callers that compare many pairs (the
-similarity kernel) pack the tuples into bitmasks of their own, as narrow as
-the call needs.
+similarity kernel) pack the tuples into integers of their own, one per
+node of a block of row closures, with one counter field per column.
 """
 
 from __future__ import annotations

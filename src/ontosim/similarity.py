@@ -25,8 +25,9 @@ selectable as the "as-printed" policy.
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 from . import matrixio
@@ -38,6 +39,11 @@ SYMMETRIZE_MEAN = "mean-of-directions"
 SYMMETRIZATIONS = (SYMMETRIZE_AS_PRINTED, SYMMETRIZE_MEAN)
 # accepted range of a positive weight; see the module docstring
 MIN_WEIGHT, MAX_WEIGHT = 1e-6, 1e6
+# rows scored together by sim_rows: its packed vectors hold one block's
+# row-closure nodes times the columns, however many rows there are
+BLOCK_ROWS = 256
+# array typecode of a sim_rows field (2 * width bits), by width
+_FIELD_CODE = {8: "H", 16: "I", 32: "Q"}
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,21 @@ class SimilarityParams:
         return self.directed(theta1, theta2, psi)
 
 
+class _Scores(dict):
+    """The scores of one theta1, keyed by a sim_rows cell ``theta2 << width
+    | psi``; a cell's triple is scored by ``score`` on its first lookup."""
+
+    __slots__ = ("score", "theta1", "width")
+
+    def __init__(self, score, theta1: int, width: int):
+        self.score, self.theta1, self.width = score, theta1, width
+
+    def __missing__(self, cell: int) -> float:
+        theta2, psi = divmod(cell, 1 << self.width)
+        value = self[cell] = self.score(self.theta1, theta2, psi)
+        return value
+
+
 def sim_rows(
     graph: OntologyGraph,
     params: SimilarityParams,
@@ -77,51 +98,52 @@ def sim_rows(
     """Scores of every row term against every column term under the
     configured policy: one tuple per row, in column order.
 
-    Each term's closure and theta are read once and each pair's psi is
-    computed once. A score depends on nothing but the (theta1, theta2, psi)
-    triple, so each distinct triple is scored once per call by
-    ``params.score`` and its score reused for every pair that shares it;
-    under mean-of-directions both directions come from that one triple.
-    UnknownTerm names every unknown id once, rows first.
+    Each term's closure is read once, and every cell of a row comes from one
+    integer sum. Column j owns the 2 * width bits from bit 2 * width * j,
+    where width is the narrowest of 8, 16 or 32 bits above the call's
+    largest theta. Rows are walked in blocks of BLOCK_ROWS; each node u of a
+    block's row closures gets an integer ``packed[u]`` with a 1 in the field
+    of every column whose closure holds u. A row's sum of ``packed[u]`` over
+    its closure, plus the columns' thetas in the high halves of their fields,
+    reads ``theta2 << width | psi`` in every field; theta2 and psi are below
+    2 ** width, so no field carries into the next. A score depends on
+    nothing but the (theta1, theta2, psi) triple, so each distinct triple is
+    scored once per call by ``params.score`` and its score reused for every
+    pair that shares it. UnknownTerm names every unknown id once, rows
+    first.
     """
-    score = params.score
-    mean = params.symmetrization == SYMMETRIZE_MEAN
-    # A square mean-of-directions matrix is symmetric and float + commutes,
-    # so the lower triangle is copied from the upper one bit for bit.
-    rows, cols = list(rows), list(cols)
-    square = mean and rows == cols
-    closures = graph.closures(rows if square else rows + cols)
-    row_closures = closures[: len(rows)]
-    col_closures = row_closures if square else closures[len(rows) :]
-    # Bits go only to nodes of some row closure: psi never counts any other
-    # node, so projecting every closure onto them is exact and keeps the
-    # masks as narrow as this call allows.
-    universe = dict.fromkeys(chain.from_iterable(row_closures))
-    bit_of = {node: 1 << bit for bit, node in enumerate(universe)}.get
-    masks = []
-    for closure in closures:
-        mask = 0
-        for node in closure:
-            mask |= bit_of(node, 0)
-        masks.append(mask)
-    row_masks = masks[: len(rows)]
-    col_masks = row_masks if square else masks[len(rows) :]
-    col_thetas = [len(closure) for closure in col_closures]
-    scores: dict[tuple[int, int, int], float] = {}
-    get = scores.get
+    closures = graph.closures([*rows, *cols])
+    row_closures, col_closures = closures[: len(rows)], closures[len(rows) :]
+    top = max(map(len, closures), default=0)
+    width = 8 if top < 1 << 8 else 16 if top < 1 << 16 else 32
+    code = _FIELD_CODE[width]
+    size = len(col_closures) * width // 4
+    zeros = bytes(size)
+    base = int.from_bytes(array(code, map(len, col_closures)), sys.byteorder) << width
+    tables: dict[int, _Scores] = {}
     out = []
-    for i, (mask1, closure1) in enumerate(zip(row_masks, row_closures)):
-        theta1 = len(closure1)
-        done = i if square else 0
-        row = [out[j][i] for j in range(done)]
-        append = row.append
-        for mask2, theta2 in zip(col_masks[done:], col_thetas[done:]):
-            key = (theta1, theta2, (mask1 & mask2).bit_count())
-            value = get(key)
-            if value is None:
-                value = scores[key] = score(*key)
-            append(value)
-        out.append(tuple(row))
+    for start in range(0, len(row_closures), BLOCK_ROWS):
+        block = row_closures[start : start + BLOCK_ROWS]
+        # psi counts only nodes of a row closure, so only they are packed;
+        # each first gathers the columns that hold it
+        packed = {node: [] for node in set().union(*block)}
+        held = packed.get
+        for j, closure in enumerate(col_closures):
+            for node in closure:
+                columns = held(node)
+                if columns is not None:
+                    columns.append(j)
+        for node, columns in packed.items():
+            fields = array(code, zeros)
+            for j in columns:
+                fields[j] = 1
+            packed[node] = int.from_bytes(fields, sys.byteorder)
+        for closure in block:
+            table = tables.get(len(closure))
+            if table is None:
+                table = tables[len(closure)] = _Scores(params.score, len(closure), width)
+            cells = sum(map(packed.__getitem__, closure), base).to_bytes(size, sys.byteorder)
+            out.append(tuple(map(table.__getitem__, array(code, cells))))
     return out
 
 

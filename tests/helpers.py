@@ -2,8 +2,8 @@
 
 DfsOracle recomputes ancestor sets from the raw edge list with a fresh DFS on
 every query. It shares no code with the production closure (which memoises
-tuples of node indexes and packs them into bitmasks per kernel call), so
-agreement between the two is meaningful evidence.
+tuples of node indexes and packs them into per-column counters per kernel
+call), so agreement between the two is meaningful evidence.
 
 reference_parse_edge_list and reference_build_ontology keep the edge-list
 ingest as it was before ids were interned and parents built as tuples, and

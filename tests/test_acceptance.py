@@ -165,7 +165,7 @@ def test_doss_correlates_with_shared_term_count():
     """On a seeded 1000-term ontology with 20 random datasets of 5 to 50
     terms, Spearman correlation between the dataset similarity and the
     shared-term count must exceed 0.3."""
-    scipy_stats = pytest.importorskip("scipy.stats")
+    scipy_stats = pytest.importorskip("scipy.stats", exc_type=ImportError)
     rng = random.Random(424242)
     ids = [f"t{i:04d}" for i in range(1000)]
     edges = []

@@ -282,7 +282,7 @@ class TestDossMatrix:
 
 class TestCorrelationTendency:
     def test_doss_tracks_shared_term_count(self, default_params):
-        pytest.importorskip("scipy")
+        pytest.importorskip("scipy", exc_type=ImportError)
         from scipy.stats import spearmanr
 
         rng = random.Random(424242)

@@ -14,12 +14,15 @@ from ontosim import (
     build_ontology,
     catalog_terms,
     distance,
+    doss,
+    doss_matrix,
     nearest_terms,
     pairwise_matrix,
     sim_rm,
     sim_rm_directed,
     sim_rows,
 )
+from ontosim import similarity
 from conftest import (
     SIM_A_TO_B,
     SIM_AC_MEAN,
@@ -31,6 +34,33 @@ from conftest import (
     TOY_TERMS,
 )
 from helpers import DfsOracle, random_dag, random_pairs, reference_csv
+
+POLICIES = ["as-printed", "mean-of-directions"]
+
+
+def formula_rows(graph, params, rows, cols):
+    """The module docstring's formula for every cell, from ancestor sets."""
+    ancestors = {t: graph.ancestors(t) for t in {*rows, *cols}}
+
+    def directed(t1, t2):
+        a1, a2 = ancestors[t1], ancestors[t2]
+        shared = len(a1 & a2)
+        return len(a1) / (params.alpha * (len(a1) - shared) + params.beta * (len(a2) - shared) + len(a1))
+
+    if params.symmetrization == "as-printed":
+        return [tuple(directed(t1, t2) for t2 in cols) for t1 in rows]
+    return [tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols) for t1 in rows]
+
+
+def chain_graph(depth):
+    """A chain c0 <- c1 <- ... of ``depth`` terms, so theta(c_i) is i + 1,
+    with a fork hung on it: a and b under the last chain term, b also under
+    x, and x under the middle term; s hangs near the root."""
+    last, middle = f"c{depth - 1}", f"c{depth // 2}"
+    ids = [f"c{i}" for i in range(depth)] + ["a", "b", "x", "s"]
+    edges = [(f"c{i}", f"c{i - 1}") for i in range(1, depth)]
+    edges += [("a", last), ("b", last), ("b", "x"), ("x", middle), ("s", "c3")]
+    return build_ontology(ids, edges)
 
 
 class TestDirectedForm:
@@ -245,24 +275,11 @@ class TestKernel:
         assert set().union(*(ancestors[t] for t in terms[:9])) < set().union(*ancestors.values())
         shapes = [
             (terms, terms[::-1]),  # a different order, so swapped indexes cannot pass
-            (terms, terms),  # square: mean-of-directions mirrors one triangle
-            (terms[:9], terms[::-1]),  # columns projected onto the rows' smaller bit universe
+            (terms, terms),  # square
+            (terms[:9], terms[::-1]),  # columns projected onto the rows' smaller node universe
         ]
-
-        def directed(t1, t2):
-            a1, a2 = ancestors[t1], ancestors[t2]
-            shared = len(a1 & a2)
-            return len(a1) / (alpha * (len(a1) - shared) + beta * (len(a2) - shared) + len(a1))
-
         for rows, cols in shapes:
-            got = sim_rows(healthcare_graph, params, rows, cols)
-            assert len(got) == len(rows)
-            for t1, row in zip(rows, got):
-                if policy == "as-printed":
-                    expected = tuple(directed(t1, t2) for t2 in cols)
-                else:
-                    expected = tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols)
-                assert row == expected
+            assert sim_rows(healthcare_graph, params, rows, cols) == formula_rows(healthcare_graph, params, rows, cols)
         # the kernel's cells are SimilarityParams.score of each pair's triple, bit for bit
         g = healthcare_graph
         rows, cols = shapes[2]
@@ -297,6 +314,61 @@ class TestKernel:
             assert row == expected
         # the three rows share (theta2, psi) against x, yet score apart
         assert len({row[0] for row in got}) == 3
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("depth, width", [(300, 16), (65_540, 32)])
+    def test_wide_fields_equal_the_formula(self, policy, depth, width):
+        # theta reaches 2 ** 8, then 2 ** 16, so a field of 8 or 16 bits
+        # could not hold it, and psi along the chain is as large
+        g = chain_graph(depth)
+        params = SimilarityParams(alpha=2.5, beta=0.5, symmetrization=policy)
+        rows = ["a", f"c{depth - 1}", "s"]
+        cols = ["b", "x", "s", f"c{depth // 2}"]
+        assert max(g.theta(t) for t in rows + cols) >= 2 ** (width // 2)
+        assert g.psi("a", "b") == depth
+        for r, c in ((rows, cols), (cols, rows), (rows + cols, rows + cols)):
+            assert sim_rows(g, params, r, c) == formula_rows(g, params, r, c)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rows_spanning_three_blocks(self, policy):
+        # 600 rows: two full blocks and a short third one
+        rng = random.Random(821)
+        ids = [f"n{i:03d}" for i in range(600)]
+        edges = [
+            (ids[i], ids[parent])
+            for i in range(1, len(ids))
+            for parent in rng.sample(range(i), k=min(i, rng.randint(1, 3)))
+        ]
+        g = build_ontology(ids, edges)
+        params = SimilarityParams(symmetrization=policy)
+        cols = rng.sample(ids, 7)
+        assert len(ids) > 2 * similarity.BLOCK_ROWS
+        assert sim_rows(g, params, ids, cols) == formula_rows(g, params, ids, cols)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_small_blocks_on_the_healthcare_terms(
+        self, monkeypatch, healthcare_graph, healthcare_catalog, policy
+    ):
+        # 216 rows walked in blocks of 50, the last one short
+        monkeypatch.setattr(similarity, "BLOCK_ROWS", 50)
+        g, catalog = healthcare_graph, healthcare_catalog
+        params = SimilarityParams(symmetrization=policy)
+        terms = catalog_terms(catalog)
+        for rows, cols in ((terms, terms), (terms, terms[::-1][:30])):
+            assert sim_rows(g, params, rows, cols) == formula_rows(g, params, rows, cols)
+        m = doss_matrix(g, params, catalog)
+        expected = tuple(
+            tuple(doss(g, params, catalog, src, ref).value for ref in m.dataset_ids) for src in m.dataset_ids
+        )
+        assert m.values == expected
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_empty_rows_or_columns(self, toy_graph, policy):
+        params = SimilarityParams(symmetrization=policy)
+        assert sim_rows(toy_graph, params, [], []) == []
+        assert sim_rows(toy_graph, params, ["b"], []) == [()]
+        assert sim_rows(toy_graph, params, [], ["b", "c"]) == []
+        assert nearest_terms(toy_graph, params, "b", [], 3) == []
 
 
 # labels csv must quote (comma, quote, line break) and labels it leaves bare
