@@ -61,8 +61,11 @@ class AnnotationCatalog:
     _by_id: dict[str, DatasetRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # reversed, so that a repeated id resolves to its first record
-        object.__setattr__(self, "_by_id", {ds.id: ds for ds in reversed(self.datasets)})
+        object.__setattr__(self, "_by_id", {})
+        for i, ds in enumerate(self.datasets):
+            if ds.id in self._by_id:
+                raise DuplicateDatasetId(f"$.datasets[{i}].id", f"dataset id {ds.id!r} already used")
+            self._by_id[ds.id] = ds
 
     def dataset(self, dataset_id: str) -> DatasetRecord:
         try:
@@ -114,7 +117,6 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
     datasets_raw = _array(payload, "datasets", "$")
 
     datasets: list[DatasetRecord] = []
-    seen_ids: set[str] = set()
     for i, item in enumerate(datasets_raw):
         path = f"$.datasets[{i}]"
         if not isinstance(item, dict):
@@ -153,9 +155,6 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
                 )
             seen_names.add(fname)
             features.append(FeatureRecord(fname, term))
-        if ds_id in seen_ids:
-            raise DuplicateDatasetId(f"{path}.id", f"dataset id {ds_id!r} already used")
-        seen_ids.add(ds_id)
         datasets.append(
             DatasetRecord(ds_id, name, tuple(origin_raw), category, tuple(features))
         )

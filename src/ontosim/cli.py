@@ -53,8 +53,6 @@ from .ingest import LabelTable, ParseReport, parse_edge_list, parse_labels, pars
 from .matrixio import csv_line
 from .ontology import OntologyGraph, build_ontology
 from .similarity import (
-    MAX_WEIGHT,
-    MIN_WEIGHT,
     SYMMETRIZE_AS_PRINTED,
     SYMMETRIZE_MEAN,
     SimilarityParams,
@@ -86,10 +84,10 @@ def _weight(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    # the library's range test; it also rejects nan, infinities and negatives
-    if not (value == 0 or MIN_WEIGHT <= value <= MAX_WEIGHT):
-        raise argparse.ArgumentTypeError(f"must be 0 or in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]")
-    return value
+    try:
+        return SimilarityParams(alpha=value).alpha  # the library owns the weight domain
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _one_line(text: str) -> str:

@@ -147,12 +147,12 @@ def doss_matrix(
     the same values :func:`doss` gives.
     """
     h = get_aggregator(aggregator)
-    scored = [catalog.dataset(ds.id) for ds in catalog.datasets]  # a repeated id scores as its first record
+    scored = [ds for ds in catalog.datasets if ds.terms]
     all_terms = catalog_terms(catalog)
 
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)
-    indexes = [[position[t] for t in ds.terms] for ds in scored if ds.terms]
+    indexes = [[position[t] for t in ds.terms] for ds in scored]
     # best[j][s]: the best score of term s against reference j, taken once.
     # columns[r][s] is term_matrix[s][r]; the first column is repeated so
     # that a one-term reference still gives max two arguments.
@@ -161,9 +161,8 @@ def doss_matrix(
     values = tuple(
         tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes
     )
-    included = tuple(ds.id for ds in scored if ds.terms)
-    excluded = tuple(ds.id for ds in scored if not ds.terms)
-    return DossMatrix(included, values, aggregator, params.symmetrization, excluded)
+    excluded = tuple(ds.id for ds in catalog.datasets if not ds.terms)
+    return DossMatrix(tuple(ds.id for ds in scored), values, aggregator, params.symmetrization, excluded)
 
 
 def shared_term_count(catalog: AnnotationCatalog, d1: str, d2: str) -> int:

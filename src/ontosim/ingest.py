@@ -8,9 +8,10 @@ Three formats are supported:
 * OBO subset: ``[Term]`` stanzas with ``id:``, ``name:``, ``synonym:`` and
   ``is_a:`` keys; obsolete stanzas are skipped with a warning, non-taxonomic
   ``relationship:`` lines are counted but ignored, every other key is ignored;
-  ``id:`` and ``is_a:`` values drop an end-of-line ``! comment`` and a
-  trailing ``{...}`` modifier block that follows whitespace (a quoted
-  modifier value may hold ``!`` or ``}``; an escaped ``\\!`` is no comment);
+  ``id:``, ``name:`` and ``is_a:`` values drop an end-of-line ``! comment``
+  (an escaped ``\\!`` is no comment), and ``id:`` and ``is_a:`` values also
+  drop a trailing ``{...}`` modifier block that follows whitespace (a quoted
+  modifier value may hold ``!`` or ``}``);
   synonym text runs to the first unescaped ``"``, and ``\\"`` and ``\\\\`` in it
   unescape (every other escape is kept as written)
 
@@ -21,12 +22,13 @@ spaces are preserved).
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable
 
-from .errors import EmptyInput, MalformedLine, MalformedStanza
+from .errors import EmptyInput, MalformedLine, MalformedStanza, ParseError
 
 # term id -> (label, synonyms), holding only terms that have either
 LabelTable = dict[str, tuple[str | None, tuple[str, ...]]]
@@ -79,8 +81,32 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, st
 
 
 def write_edge_list(edges: Iterable[tuple[str, str]], stream: IO[str]) -> None:
-    for child, parent in edges:
-        stream.write(f"{child}\t{parent}\n")
+    """Write ``child<TAB>parent`` rows that :func:`parse_edge_list` reads back
+    as the same edges, in order, or write nothing.
+
+    The rows are read back before they are written, so the reader alone says
+    what an id may hold: an empty id, one with surrounding whitespace, a tab or
+    a line break, or a child id starting with ``#`` raises MalformedLine naming
+    the first such edge by its 1-based position. No edges raise EmptyInput.
+    """
+    edges = [(child, parent) for child, parent in edges]
+    if not edges:
+        raise EmptyInput("no edges to write")
+    lines = [f"{child}\t{parent}\n" for child, parent in edges]
+    text = "".join(lines)
+    if not _reads_back(text, edges):
+        for position, (line, edge) in enumerate(zip(lines, edges), start=1):
+            if not _reads_back(line, [edge]):
+                raise MalformedLine(f"edge {edge!r} would not read back as written", line=position)
+    stream.write(text)
+
+
+def _reads_back(text: str, edges: list[tuple[str, str]]) -> bool:
+    # newline=None reads "\r" and "\r\n" as line ends, as a file opened in text mode does
+    try:
+        return parse_edge_list(io.StringIO(text, newline=None))[1] == edges
+    except ParseError:
+        return False
 
 
 def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
@@ -190,6 +216,8 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
                 raise MalformedStanza(f"[Term] stanza {term_id} has a second id: {value}", line=lineno)
             term_id = value
         elif key == "name":
+            if "!" in value:
+                value = _UNTIL_COMMENT.match(value)[0].rstrip()
             name = value or None
         elif key == "synonym":
             # only the first '"' can open the text; matching there, not searching

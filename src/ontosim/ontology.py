@@ -29,15 +29,13 @@ class OntologyGraph:
         "_ids",
         "_index",
         "_parents",
-        "_edge_count",
         "_masks",
     )
 
-    def __init__(self, ids, index, parents, edge_count):
+    def __init__(self, ids, index, parents):
         self._ids: tuple[str, ...] = ids
         self._index: dict[str, int] = index
         self._parents: tuple[tuple[int, ...], ...] = parents
-        self._edge_count: int = edge_count
         # closure cache keyed by term id; see _closure(). The name is not
         # "_closures" because the benchmark's tracer counts memoised closures
         # as len(graph._masks).
@@ -50,7 +48,7 @@ class OntologyGraph:
         return term in self._index
 
     def __repr__(self) -> str:
-        return f"OntologyGraph({len(self)} terms, {self._edge_count} edges)"
+        return f"OntologyGraph({len(self)} terms, {self.edge_count} edges)"
 
     @property
     def terms(self) -> tuple[TermId, ...]:
@@ -58,7 +56,7 @@ class OntologyGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._parents))
 
     def _node(self, term: TermId) -> int:
         try:
@@ -173,7 +171,7 @@ def build_ontology(terms: Iterable[TermId], edges: Iterable[tuple[str, str]]) ->
         parents[node] = tuple(parents[node])
     frozen = tuple(parents)
     _ensure_acyclic(ids, frozen)
-    return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
+    return OntologyGraph(ids, index, frozen)
 
 
 def _ensure_acyclic(ids: Sequence[str], parents: Sequence[Sequence[int]]) -> None:

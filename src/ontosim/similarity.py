@@ -149,9 +149,7 @@ def sim_rows(
 
 def sim_rm_directed(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
     """The raw directed score of t1 towards t2, whatever the policy."""
-    if params.symmetrization != SYMMETRIZE_AS_PRINTED:
-        params = replace(params, symmetrization=SYMMETRIZE_AS_PRINTED)
-    return sim_rows(graph, params, (t1,), (t2,))[0][0]
+    return sim_rm(graph, replace(params, symmetrization=SYMMETRIZE_AS_PRINTED), t1, t2)
 
 
 def sim_rm(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:

@@ -136,7 +136,7 @@ def reference_build_ontology(terms, edges):
         raise DanglingEdgeEndpoint(dangling)
     frozen = tuple(tuple(dict.fromkeys(p)) for p in parents)
     reference_ensure_acyclic(ids, frozen)
-    return OntologyGraph(ids, index, frozen, sum(map(len, frozen)))
+    return OntologyGraph(ids, index, frozen)
 
 
 def reference_ensure_acyclic(ids, parents):

@@ -68,8 +68,24 @@ class TestLoadCatalog:
     def test_duplicate_dataset_id(self):
         ds = minimal()["datasets"][0]
         other = dict(ds, name="two")
-        with pytest.raises(DuplicateDatasetId):
+        with pytest.raises(DuplicateDatasetId, match=r"^\$\.datasets\[1\]\.id: dataset id 'D1' already used$") as exc:
             catalog_from_dict(minimal(datasets=[ds, other]))
+        assert exc.value.path == "$.datasets[1].id"
+
+    def test_hand_built_catalog_refuses_a_repeated_id(self):
+        # the same rule and error as catalog JSON: a second "A" would otherwise
+        # be scored as the first, its term c never read
+        records = (
+            DatasetRecord("A", "first", (), "EHR", (FeatureRecord("f", "b"),)),
+            DatasetRecord("B", "other", (), "EHR", (FeatureRecord("f", "b"),)),
+            DatasetRecord("A", "second", (), "EHR", (FeatureRecord("f", "c"),)),
+        )
+        with pytest.raises(DuplicateDatasetId, match=r"^\$\.datasets\[2\]\.id: dataset id 'A' already used$") as exc:
+            AnnotationCatalog("test", records)
+        assert exc.value.path == "$.datasets[2].id"
+        # the same record twice repeats its id too
+        with pytest.raises(DuplicateDatasetId):
+            AnnotationCatalog("test", records[:1] * 2)
 
     def test_duplicate_feature_name(self):
         ds = minimal()["datasets"][0]

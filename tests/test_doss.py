@@ -7,10 +7,7 @@ import pytest
 
 from ontosim import (
     AGGREGATORS,
-    AnnotationCatalog,
-    DatasetRecord,
     EmptyTermSet,
-    FeatureRecord,
     SimilarityMatrix,
     SimilarityParams,
     UnknownDataset,
@@ -232,18 +229,6 @@ class TestDossMatrix:
             )
             assert m.values == expected
             assert m.values[0] == m.values[2]
-
-    def test_repeated_id_scores_its_first_record(self, toy_graph, default_params):
-        # a hand-built catalog is not checked for repeated ids; catalog.dataset()
-        # resolves an id to its first record, and both rows score as that record
-        catalog = AnnotationCatalog("test", (
-            DatasetRecord("A", "first", (), "EHR", (FeatureRecord("f", "b"),)),
-            DatasetRecord("A", "second", (), "EHR", (FeatureRecord("f", "c"),)),
-        ))
-        m = doss_matrix(toy_graph, default_params, catalog)
-        assert m.dataset_ids == ("A", "A")
-        assert m.values == ((1.0, 1.0), (1.0, 1.0))
-        assert all(cell == doss(toy_graph, default_params, catalog, "A", "A").value for row in m.values for cell in row)
 
     def test_csv_with_awkward_dataset_ids(self, toy_graph, default_params):
         catalog = make_catalog({"D,1": ["a", "b"], 'D"2': ["c"], "plain": ["r"]})

@@ -61,6 +61,39 @@ class TestEdgeList:
         assert set(terms) == set(terms2)
         assert set(edges) == set(edges2)
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            ("b\tx", "r"),  # a tab splits the row into three fields
+            ("b", "r\nx"),  # a line feed ends the row
+            ("b\rx", "r"),  # so does a lone carriage return, read with universal newlines
+            ("", "r"),  # an empty id
+            (" b", "r"),  # surrounding whitespace is trimmed on reading
+            ("b", "r\x0b"),  # so is any trailing whitespace str.strip() knows
+            ("#b", "r"),  # a child starting with # reads as a comment
+        ],
+    )
+    def test_write_refuses_an_edge_that_would_not_read_back(self, edge):
+        out = io.StringIO()
+        with pytest.raises(MalformedLine, match=r"^line 2: ") as exc:
+            write_edge_list([("a", "r"), edge, ("c", "r")], out)
+        assert exc.value.line == 2
+        assert out.getvalue() == ""
+
+    def test_write_refuses_no_edges(self):
+        out = io.StringIO()
+        with pytest.raises(EmptyInput):
+            write_edge_list(iter(()), out)
+        assert out.getvalue() == ""
+
+    def test_write_keeps_what_the_reader_keeps(self):
+        # inner whitespace, a # past the first character and a parent starting with #
+        edges = [("a b", "#r"), ("c#", "a b")]
+        out = io.StringIO()
+        write_edge_list(iter(edges), out)
+        assert out.getvalue() == "a b\t#r\nc#\ta b\n"
+        assert parse_edge_list(io.StringIO(out.getvalue()))[1] == edges
+
     def test_every_edge_endpoint_is_a_term(self):
         terms, edges, _ = parse_edge_list(io.StringIO("x\ty\nz\tx\n"))
         declared = set(terms)
@@ -259,6 +292,24 @@ class TestOboSubset:
         with pytest.raises(MalformedLine):
             parse_obo_subset(io.StringIO(f"[Term]\nid: X:1\nsynonym: {value}\n"))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "value, label",
+        [
+            ("heart rate ! vital sign", "heart rate"),
+            ("heart rate!vital sign", "heart rate"),
+            ("rate \\! per minute ! vital", "rate \\! per minute"),  # \! stays as written
+            ("rate {per minute}", "rate {per minute}"),  # a name keeps its braces
+            ("heart rate", "heart rate"),
+        ],
+    )
+    def test_name_ends_at_an_unescaped_comment(self, value, label):
+        labels = parse_obo_subset(io.StringIO(f"[Term]\nid: X:1\nname: {value}\n"))[2]
+        assert labels == {"X:1": (label, ())}
+
+    def test_name_that_is_only_a_comment_gives_no_label(self):
+        text = '[Term]\nid: X:1\nname: ! none\n\n[Term]\nid: X:2\nname: !\nsynonym: "two" EXACT []\n'
+        assert parse_obo_subset(io.StringIO(text))[2] == {"X:2": (None, ("two",))}
 
     def test_label_table_holds_only_terms_with_a_name_or_synonyms(self):
         text = (

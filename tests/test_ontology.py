@@ -59,6 +59,7 @@ class TestBuildValidation:
         g = build_ontology(["s", "r", "a"], [("a", "r"), ("a", "s"), ("a", "r")])
         assert g.parents("a") == ("r", "s")
         assert g.edge_count == 2
+        assert repr(g) == "OntologyGraph(3 terms, 2 edges)"
 
     def test_accepts_every_random_dag(self):
         rng = random.Random(101)

@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ontosim import (
+    EmptyInput,
+    MalformedLine,
     SimilarityParams,
     UnknownTerm,
     build_ontology,
@@ -28,6 +30,7 @@ from ontosim import (
     sim_rm_directed,
     sim_rows,
     term_set,
+    write_edge_list,
 )
 from ontosim.cli import main
 from ontosim.similarity import MAX_WEIGHT, MIN_WEIGHT
@@ -241,6 +244,30 @@ def test_edge_list_ingest_matches_reference(lines):
     got = outcome(build_from_text, parse_edge_list, build_ontology, lines)
     expected = outcome(build_from_text, reference_parse_edge_list, reference_build_ontology, lines)
     assert shape(got) == shape(expected)
+
+
+# ids built from characters the edge-list reader treats specially
+SPACES = "\t\n\r \x0b\u2028"
+awkward_ids = st.text(alphabet="ab#" + SPACES, max_size=4)
+
+
+@fast
+@given(st.lists(st.tuples(awkward_ids, awkward_ids), max_size=5))
+def test_written_edge_list_reads_back_or_is_refused(edges):
+    out = io.StringIO()
+    try:
+        write_edge_list(edges, out)
+    except (MalformedLine, EmptyInput):
+        assert out.getvalue() == ""
+        # only an id the reader would change, or no edges, is refused
+        assert not edges or any(
+            not child or not parent or child[0] == "#" or set(child + parent) & set(SPACES)
+            for child, parent in edges
+        )
+        return
+    # read back as a file opened in text mode reads it
+    stream = io.TextIOWrapper(io.BytesIO(out.getvalue().encode()), encoding="utf-8")
+    assert parse_edge_list(stream)[1] == edges
 
 
 def obo_quoted(text):
