@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Union
+from typing import IO, AbstractSet, Union
 
 from .errors import (
     DuplicateDatasetId,
@@ -33,6 +33,7 @@ from .errors import (
 from .ingest import LabelTable
 
 CATEGORIES = ("Survey", "EHR")
+_FEATURE_KEYS = frozenset({"name", "term"})
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,21 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
         features: list[FeatureRecord] = []
         seen_names: set[str] = set()
         for j, feat in enumerate(features_raw):
-            fpath = f"{path}.features[{j}]"
-            if not isinstance(feat, dict):
-                raise SchemaViolation(fpath, "expected an object")
-            _reject_unknown_keys(feat, {"name", "term"}, fpath)
-            fname = _string(feat, "name", fpath)
+            # each check is a cheap test first; the path is formatted only on the way to a raise
+            if not isinstance(feat, dict) or not feat.keys() <= _FEATURE_KEYS:
+                fpath = f"{path}.features[{j}]"
+                if not isinstance(feat, dict):
+                    raise SchemaViolation(fpath, "expected an object")
+                _reject_unknown_keys(feat, _FEATURE_KEYS, fpath)
+            fname = feat.get("name")
+            if not isinstance(fname, str) or not fname.strip():
+                _string(feat, "name", f"{path}.features[{j}]")  # raises: missing, not a string or blank
             term = feat.get("term")
             if term is not None and (not isinstance(term, str) or not term):
-                raise SchemaViolation(f"{fpath}.term", "expected a non-empty string or null")
+                raise SchemaViolation(f"{path}.features[{j}].term", "expected a non-empty string or null")
             if fname in seen_names:
                 raise DuplicateFeatureName(
-                    f"{fpath}.name",
+                    f"{path}.features[{j}].name",
                     f"feature name {fname!r} appears more than once in dataset {ds_id!r}",
                 )
             seen_names.add(fname)
@@ -161,7 +166,7 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
     return AnnotationCatalog(version, tuple(datasets))
 
 
-def _reject_unknown_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown_keys(mapping: dict, allowed: AbstractSet[str], path: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise SchemaViolation(path, f"unknown key(s): {', '.join(unknown)}")

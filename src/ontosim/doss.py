@@ -17,7 +17,7 @@ from . import matrixio
 from .catalog import AnnotationCatalog, catalog_terms, term_set
 from .errors import EmptyTermSet
 from .ontology import OntologyGraph
-from .similarity import SimilarityParams, sim_rows
+from .similarity import SYMMETRIZE_MEAN, SimilarityParams, sim_rows
 
 AGGREGATORS: dict[str, Callable[[Sequence[float]], float]] = {
     "mean": statistics.fmean,
@@ -144,7 +144,9 @@ def doss_matrix(
 
     The term matrix over the catalog's distinct terms is computed once; each
     cell aggregates the source terms' maxima over the reference's columns,
-    the same values :func:`doss` gives.
+    the same values :func:`doss` gives. Under mean-of-directions the term
+    matrix is its own transpose, bit for bit (float ``+`` commutes), so the
+    fold reads its rows as its columns; only as-printed is transposed.
     """
     h = get_aggregator(aggregator)
     scored = [ds for ds in catalog.datasets if ds.terms]
@@ -156,7 +158,7 @@ def doss_matrix(
     # best[j][s]: the best score of term s against reference j, taken once.
     # columns[r][s] is term_matrix[s][r]; the first column is repeated so
     # that a one-term reference still gives max two arguments.
-    columns = list(zip(*term_matrix))
+    columns = term_matrix if params.symmetrization == SYMMETRIZE_MEAN else list(zip(*term_matrix))
     best = [list(map(max, columns[ref[0]], *[columns[r] for r in ref])) for ref in indexes]
     values = tuple(
         tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes

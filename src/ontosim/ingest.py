@@ -84,10 +84,12 @@ def write_edge_list(edges: Iterable[tuple[str, str]], stream: IO[str]) -> None:
     """Write ``child<TAB>parent`` rows that :func:`parse_edge_list` reads back
     as the same edges, in order, or write nothing.
 
-    The rows are read back before they are written, so the reader alone says
-    what an id may hold: an empty id, one with surrounding whitespace, a tab or
-    a line break, or a child id starting with ``#`` raises MalformedLine naming
-    the first such edge by its 1-based position. No edges raise EmptyInput.
+    The rows are read back before they are written, as the CLI reads a file,
+    so the reader alone says what an id may hold: an empty id, one with
+    surrounding whitespace, a tab or a line break, a child id starting with
+    ``#``, or a first child id starting with U+FEFF (a byte order mark, which
+    a ``utf-8-sig`` read drops) raises MalformedLine naming the first such
+    edge by its 1-based position. No edges raise EmptyInput.
     """
     edges = [(child, parent) for child, parent in edges]
     if not edges:
@@ -96,12 +98,14 @@ def write_edge_list(edges: Iterable[tuple[str, str]], stream: IO[str]) -> None:
     text = "".join(lines)
     if not _reads_back(text, edges):
         for position, (line, edge) in enumerate(zip(lines, edges), start=1):
-            if not _reads_back(line, [edge]):
+            if not _reads_back(line, [edge], at_start=position == 1):
                 raise MalformedLine(f"edge {edge!r} would not read back as written", line=position)
     stream.write(text)
 
 
-def _reads_back(text: str, edges: list[tuple[str, str]]) -> bool:
+def _reads_back(text: str, edges: list[tuple[str, str]], at_start: bool = True) -> bool:
+    if at_start:
+        text = text.removeprefix("\ufeff")  # as a utf-8-sig read of the file does
     # newline=None reads "\r" and "\r\n" as line ends, as a file opened in text mode does
     try:
         return parse_edge_list(io.StringIO(text, newline=None))[1] == edges

@@ -5,8 +5,9 @@ first cell is empty and remaining cells are the labels, then one row per
 label with fixed-precision cells. ``\\n`` line endings are forced so output
 bytes are platform-independent.
 
-Each distinct value is formatted once and its text reused for every cell
-that holds it (0.0 and -0.0 count as one value; no score is -0.0). Labels
+Each distinct value is formatted on its first lookup, in row-major order,
+and its text reused for every later cell that holds it (0.0 and -0.0 count
+as one value, printed as whichever comes first; no score is -0.0). Labels
 are quoted by :func:`csv_line`, one label at a time, so a label with a
 comma, a quote, a line break (``\\r`` included) or a leading ``#`` reads
 back as itself.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, dropwhile
+from itertools import dropwhile
 from typing import IO, Iterable, Mapping, Sequence
 
 
@@ -30,10 +31,20 @@ def write_matrix_csv(
         for key, value in metadata.items():
             stream.write(f"# {key}: {value}\n")
     stream.write(csv_line(["", *labels]))
-    text = {cell: f"{cell:.6f}" for cell in set(chain.from_iterable(values))}
+    text = _Texts().__getitem__
     for label, row in zip(labels, values):
         # the label's cell with the comma after it, then the formatted values
-        stream.write(f"{csv_line((label, ''))[:-1]}{','.join(map(text.__getitem__, row))}\n")
+        stream.write(f"{csv_line((label, ''))[:-1]}{','.join(map(text, row))}\n")
+
+
+class _Texts(dict):
+    """Cell text by value; a value is formatted on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell: float) -> str:
+        text = self[cell] = f"{cell:.6f}"
+        return text
 
 
 def csv_line(fields: Iterable[object]) -> str:

@@ -147,6 +147,40 @@ class TestLoadCatalog:
             catalog_from_dict(payload)
         assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
 
+    @pytest.mark.parametrize(
+        "feature, error, field, message",
+        [
+            ({"name": "x", "zeta": 1, "alpha": 2}, SchemaViolation, "", "unknown key(s): alpha, zeta"),
+            ({"term": "T1"}, SchemaViolation, ".name", "missing required field"),
+            ({"name": 5}, SchemaViolation, ".name", "expected a string"),
+            ({"name": ""}, SchemaViolation, ".name", "must not be empty"),
+            ({"name": " \t"}, SchemaViolation, ".name", "must not be only whitespace"),
+            ({"name": "x", "term": 5}, SchemaViolation, ".term", "expected a non-empty string or null"),
+            ({"name": "x", "term": ""}, SchemaViolation, ".term", "expected a non-empty string or null"),
+            (
+                {"name": "age", "term": None},
+                DuplicateFeatureName,
+                ".name",
+                "feature name 'age' appears more than once in dataset 'D1'",
+            ),
+            # the checks run in this order: keys, then name, then term, then the duplicate name
+            ({"name": 5, "extra": 1}, SchemaViolation, "", "unknown key(s): extra"),
+            ({"name": "", "term": 5}, SchemaViolation, ".name", "must not be empty"),
+            ({"name": "age", "term": ""}, SchemaViolation, ".term", "expected a non-empty string or null"),
+        ],
+        ids=[
+            "unknown-keys", "name-missing", "name-not-a-string", "name-empty", "name-whitespace",
+            "term-not-a-string", "term-empty", "name-duplicate",
+            "keys-before-name", "name-before-term", "term-before-duplicate",
+        ],
+    )
+    def test_feature_error_names_its_path(self, feature, error, field, message):
+        payload = with_dataset(features=[{"name": "age", "term": "T1"}, feature])
+        path = f"$.datasets[0].features[1]{field}"
+        with pytest.raises(SchemaViolation) as exc:
+            catalog_from_dict(payload)
+        assert (type(exc.value), exc.value.path, str(exc.value)) == (error, path, f"{path}: {message}")
+
     def test_unknown_keys_rejected(self):
         payload = minimal()
         payload["extra"] = 1

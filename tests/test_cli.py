@@ -586,8 +586,15 @@ class TestPinnedOutput:
             ),
             (["doss", "1", "2", "--verbose"], "e27d0b3628d61c5f8af0a54f10b65ff65063b7a62cb81b1d5f91d78bc292317e"),
             (["doss", "1", "2", "--format", "json"], "1f4539d61f6c55d119ba5feb42652a257959f7ae288c741ebe158bbb0cd5d7d9"),
+            (["matrix", "--distance"], "64780a95d04859914b18e3faa3cdb87bfefd18f0a9a4376d7deeb4abd413c972"),
+            (["matrix", "--format", "json"], "fe702c75fb9ff04fac0adcce086e78b723bcfc642b55d3255f5b8a28d9adc8bd"),
+            (["doss-matrix", "--agg", "median"], "7fefc90915dfbc9d9635611f118392b0d033261fe7d914af3b1c5d6878645559"),
+            (["doss-matrix", "--agg", "min"], "32e011dae8f39932fdf1680d570528a0e60b7b91af0fa246d1d17b43839ce3cf"),
         ],
-        ids=["matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed", "doss-verbose", "doss-json"],
+        ids=[
+            "matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed", "doss-verbose", "doss-json",
+            "matrix-distance", "matrix-json", "doss-matrix-median", "doss-matrix-min",
+        ],
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv, "--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH)

@@ -80,6 +80,26 @@ class TestEdgeList:
         assert exc.value.line == 2
         assert out.getvalue() == ""
 
+    def test_write_refuses_a_leading_byte_order_mark(self):
+        # the CLI reads a file as utf-8-sig, which drops a U+FEFF at its start
+        out = io.StringIO()
+        with pytest.raises(MalformedLine) as exc:
+            write_edge_list([("\ufeffa", "r"), ("b", "r")], out)
+        assert exc.value.line == 1
+        assert out.getvalue() == ""
+
+    def test_write_keeps_a_byte_order_mark_past_the_start(self, tmp_path):
+        edges = [("a", "\ufeffr"), ("\ufeffb", "a")]
+        path = tmp_path / "edges.tsv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_edge_list(edges, fh)
+        with open(path, encoding="utf-8-sig") as fh:
+            assert parse_edge_list(fh)[1] == edges
+        # a later bad edge is named, not the one whose U+FEFF is past the start
+        with pytest.raises(MalformedLine) as exc:
+            write_edge_list([*edges, ("", "r")], io.StringIO())
+        assert exc.value.line == 3
+
     def test_write_refuses_no_edges(self):
         out = io.StringIO()
         with pytest.raises(EmptyInput):

@@ -22,7 +22,7 @@ from ontosim import (
     sim_rm_directed,
     sim_rows,
 )
-from ontosim import similarity
+from ontosim import matrixio, similarity
 from conftest import (
     SIM_A_TO_B,
     SIM_AC_MEAN,
@@ -191,6 +191,13 @@ class TestSymmetrization:
         g = build_ontology(ids, edges)
         for t1, t2 in random_pairs(rng, ids, 100):
             assert sim_rm(g, params, t1, t2) == sim_rm(g, params, t2, t1)
+
+    def test_mean_term_matrix_is_its_own_transpose(self, healthcare_graph, healthcare_catalog):
+        # doss_matrix reads this matrix's rows as its columns
+        terms = catalog_terms(healthcare_catalog)
+        for alpha, beta in ((7.9, 3.9), (2.0, 0.5), (1e-6, 1e6), (0.0, 1.0)):
+            rows = sim_rows(healthcare_graph, SimilarityParams(alpha, beta), terms, terms)
+            assert rows == list(zip(*rows))
 
     def test_as_printed_returns_directed_value(self, toy_graph):
         params = SimilarityParams(symmetrization="as-printed")
@@ -411,6 +418,13 @@ class TestMatrixCsv:
         buf = io.StringIO()
         m.to_csv(buf)
         assert buf.getvalue() == reference_csv(m.terms, values, {})
+
+    @pytest.mark.parametrize("first, second, text", [(0.0, -0.0, "0.000000"), (-0.0, 0.0, "-0.000000")])
+    def test_signed_zeros_share_the_text_of_the_first_seen(self, first, second, text):
+        # 0.0 == -0.0, so both cells print as whichever comes first in row-major order
+        buf = io.StringIO()
+        matrixio.write_matrix_csv(buf, ("x", "y"), ((1.0, first), (second, 1.0)))
+        assert buf.getvalue() == f",x,y\nx,1.000000,{text}\ny,{text},1.000000\n"
 
 
 class TestNearestTerms:
