@@ -50,12 +50,13 @@ from .errors import (
     UnknownTerm,
 )
 from .ingest import LabelTable, ParseReport, parse_edge_list, parse_labels, parse_obo_subset
-from .matrixio import csv_line
+from .matrixio import csv_line, write_matrix_rows
 from .ontology import OntologyGraph, build_ontology
 from .similarity import (
     SYMMETRIZE_AS_PRINTED,
     SYMMETRIZE_MEAN,
     SimilarityParams,
+    matrix_csv_rows,
     pairwise_matrix,
 )
 
@@ -328,10 +329,15 @@ def cmd_matrix(args) -> int:
     graph, _, _ = _load_graph(args)
     catalog = _read(args.catalog, load_catalog)
     params = _params(args)
-    matrix = pairwise_matrix(graph, params, catalog_terms(catalog))
-    if args.distance:
-        matrix = matrix.to_distance()
-    _write_matrix(args, matrix, _stamp(args, catalog, params, kind="distance" if args.distance else "similarity"))
+    terms = catalog_terms(catalog)
+    stamp = _stamp(args, catalog, params, kind="distance" if args.distance else "similarity")
+    if args.format == "json":
+        matrix = pairwise_matrix(graph, params, terms)
+        _write_matrix(args, matrix.to_distance() if args.distance else matrix, stamp)
+    else:
+        # every id is resolved before the output is opened; the rows are scored as they are written
+        labels, rows = matrix_csv_rows(graph, params, terms, args.distance)
+        _write(args.format, args.out, None, lambda fh: write_matrix_rows(fh, labels, rows, stamp))
     return EXIT_OK
 
 

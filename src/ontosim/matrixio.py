@@ -5,12 +5,17 @@ first cell is empty and remaining cells are the labels, then one row per
 label with fixed-precision cells. ``\\n`` line endings are forced so output
 bytes are platform-independent.
 
-Each distinct value is formatted on its first lookup, in row-major order,
-and its text reused for every later cell that holds it (0.0 and -0.0 count
-as one value, printed as whichever comes first; no score is -0.0). Labels
-are quoted by :func:`csv_line`, one label at a time, so a label with a
-comma, a quote, a line break (``\\r`` included) or a leading ``#`` reads
-back as itself.
+:func:`write_matrix_csv` formats each distinct value on its first lookup,
+in row-major order, and reuses its text for every later cell that holds it
+(0.0 and -0.0 count as one value, printed as whichever comes first; no
+score is -0.0). :func:`write_matrix_rows` writes rows whose cells are
+already text, each as it is read: the CLI's ``matrix`` CSV streams them
+from the term kernel (``similarity.matrix_csv_rows``), which formats each
+distinct score once, so no float matrix is held. Both quote a label only if
+it holds a character that csv would quote (a comma, a quote or a line
+break, ``\\r`` included), with :func:`csv_line`, so such a label reads back
+as itself; so does one with a leading ``#``, since only the lines before
+the header are read as metadata.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ import io
 from itertools import dropwhile
 from typing import IO, Iterable, Mapping, Sequence
 
+# the characters that make csv quote a field of a row with more than one
+# field: the delimiter, the quote and those of the line terminator
+_QUOTED = frozenset(',"\r\n')
+
 
 def write_matrix_csv(
     stream: IO[str],
@@ -27,14 +36,31 @@ def write_matrix_csv(
     values: Sequence[Sequence[float]],
     metadata: Mapping[str, object] | None = None,
 ) -> None:
+    text = _Texts().__getitem__
+    write_matrix_rows(stream, labels, (map(text, row) for row in values), metadata)
+
+
+def write_matrix_rows(
+    stream: IO[str],
+    labels: Sequence[str],
+    rows: Iterable[Iterable[str]],
+    metadata: Mapping[str, object] | None = None,
+) -> None:
+    """The layout above for rows whose cells are already text, each row
+    written as it is read."""
     if metadata:
         for key, value in metadata.items():
             stream.write(f"# {key}: {value}\n")
     stream.write(csv_line(["", *labels]))
-    text = _Texts().__getitem__
-    for label, row in zip(labels, values):
-        # the label's cell with the comma after it, then the formatted values
-        stream.write(f"{csv_line((label, ''))[:-1]}{','.join(map(text, row))}\n")
+    for label, row in zip(labels, rows):
+        # the label's cell with the comma after it, then the row's cells
+        cell = f"{label}," if _QUOTED.isdisjoint(label) else csv_line((label, ""))[:-1]
+        stream.write(f"{cell}{','.join(row)}\n")
+
+
+def cell_text(value: float) -> str:
+    """The fixed-precision text of a matrix cell."""
+    return f"{value:.6f}"
 
 
 class _Texts(dict):
@@ -43,7 +69,7 @@ class _Texts(dict):
     __slots__ = ()
 
     def __missing__(self, cell: float) -> str:
-        text = self[cell] = f"{cell:.6f}"
+        text = self[cell] = cell_text(cell)
         return text
 
 

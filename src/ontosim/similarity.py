@@ -28,7 +28,7 @@ import heapq
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from . import matrixio
 from .errors import EmptyTermList, UnknownTerm
@@ -74,19 +74,19 @@ class SimilarityParams:
         return self.directed(theta1, theta2, psi)
 
 
-class _Scores(dict):
-    """The scores of one theta1, keyed by a sim_rows cell ``theta2 << width
-    | psi``; a cell's triple is scored by ``score`` on its first lookup."""
+class _Memo(dict):
+    """The values of one theta1, keyed by a packed cell ``theta2 << width |
+    psi``; a cell's triple is passed to ``value`` on its first lookup."""
 
-    __slots__ = ("score", "theta1", "width")
+    __slots__ = ("value", "theta1", "width")
 
-    def __init__(self, score, theta1: int, width: int):
-        self.score, self.theta1, self.width = score, theta1, width
+    def __init__(self, value, theta1: int, width: int):
+        self.value, self.theta1, self.width = value, theta1, width
 
-    def __missing__(self, cell: int) -> float:
+    def __missing__(self, cell: int):
         theta2, psi = divmod(cell, 1 << self.width)
-        value = self[cell] = self.score(self.theta1, theta2, psi)
-        return value
+        result = self[cell] = self.value(self.theta1, theta2, psi)
+        return result
 
 
 def sim_rows(
@@ -109,19 +109,32 @@ def sim_rows(
     2 ** width, so no field carries into the next. A score depends on
     nothing but the (theta1, theta2, psi) triple, so each distinct triple is
     scored once per call by ``params.score`` and its score reused for every
-    pair that shares it. UnknownTerm names every unknown id once, rows
-    first.
+    pair that shares it. The same walk gives the CLI's matrix CSV its cell
+    texts (:func:`matrix_csv_rows`). UnknownTerm names every unknown id
+    once, rows first.
     """
+    return [tuple(row) for row in _cell_rows(graph, params.score, rows, cols)]
+
+
+def _cell_rows(graph: OntologyGraph, value, rows: Sequence[TermId], cols: Sequence[TermId]) -> Iterator[Iterator]:
+    """An iterator over the rows of :func:`sim_rows`' walk, each an iterator
+    over ``value(theta1, theta2, psi)`` of its cells; ``value`` is called
+    once per distinct triple. Every id is resolved here, when this returns:
+    a generator's body would not run until the first row is read."""
     closures = graph.closures([*rows, *cols])
-    row_closures, col_closures = closures[: len(rows)], closures[len(rows) :]
+    return _walk(closures, len(rows), value)
+
+
+def _walk(closures, count: int, value) -> Iterator[Iterator]:
+    # the first count closures are the rows'
+    row_closures, col_closures = closures[:count], closures[count:]
     top = max(map(len, closures), default=0)
     width = 8 if top < 1 << 8 else 16 if top < 1 << 16 else 32
     code = _FIELD_CODE[width]
     size = len(col_closures) * width // 4
     zeros = bytes(size)
     base = int.from_bytes(array(code, map(len, col_closures)), sys.byteorder) << width
-    tables: dict[int, _Scores] = {}
-    out = []
+    tables: dict[int, _Memo] = {}
     for start in range(0, len(row_closures), BLOCK_ROWS):
         block = row_closures[start : start + BLOCK_ROWS]
         # psi counts only nodes of a row closure, so only they are packed;
@@ -141,10 +154,9 @@ def sim_rows(
         for closure in block:
             table = tables.get(len(closure))
             if table is None:
-                table = tables[len(closure)] = _Scores(params.score, len(closure), width)
+                table = tables[len(closure)] = _Memo(value, len(closure), width)
             cells = sum(map(packed.__getitem__, closure), base).to_bytes(size, sys.byteorder)
-            out.append(tuple(map(table.__getitem__, array(code, cells))))
-    return out
+            yield map(table.__getitem__, array(code, cells))
 
 
 def sim_rm_directed(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
@@ -158,7 +170,12 @@ def sim_rm(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermI
 
 
 def distance(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:
-    return 1.0 - sim_rm(graph, params, t1, t2)
+    return _distance_of(sim_rm(graph, params, t1, t2))
+
+
+def _distance_of(score: float) -> float:
+    """The distance that every distance output gives for a score."""
+    return 1.0 - score
 
 
 @dataclass(frozen=True)
@@ -170,10 +187,7 @@ class SimilarityMatrix:
 
     def to_distance(self) -> "SimilarityMatrix":
         """Companion matrix with every cell replaced by 1 - value."""
-        return SimilarityMatrix(
-            self.terms,
-            tuple(tuple(1.0 - cell for cell in row) for row in self.values),
-        )
+        return SimilarityMatrix(self.terms, tuple(tuple(map(_distance_of, row)) for row in self.values))
 
     def to_csv(self, stream: IO[str], metadata: Mapping[str, object] | None = None) -> None:
         matrixio.write_matrix_csv(stream, self.terms, self.values, metadata)
@@ -192,10 +206,39 @@ class SimilarityMatrix:
 def pairwise_matrix(graph: OntologyGraph, params: SimilarityParams, terms: Iterable[TermId]) -> SimilarityMatrix:
     """All-pairs similarity over the given terms; duplicates collapse to
     their first occurrence."""
-    ordered = list(dict.fromkeys(terms))
+    ordered = _distinct(terms)
+    return SimilarityMatrix(ordered, tuple(sim_rows(graph, params, ordered, ordered)))
+
+
+def matrix_csv_rows(
+    graph: OntologyGraph, params: SimilarityParams, terms: Iterable[TermId], distance: bool
+) -> tuple[tuple[TermId, ...], Iterator[Iterator[str]]]:
+    """The labels and rows of ``pairwise_matrix(graph, params, terms)``, or
+    of its ``to_distance()`` when ``distance`` is true, with every cell as
+    the text that ``to_csv`` writes for it; feed them to
+    :func:`matrixio.write_matrix_rows`.
+
+    Every id is resolved, and UnknownTerm or EmptyTermList raised, before
+    this returns; the rows are scored as they are read, one block of
+    BLOCK_ROWS at a time, and each distinct triple is scored and formatted
+    once.
+    """
+    ordered = _distinct(terms)
+    score, text = params.score, matrixio.cell_text
+
+    def cell(theta1: int, theta2: int, psi: int) -> str:
+        value = score(theta1, theta2, psi)
+        return text(_distance_of(value) if distance else value)
+
+    return ordered, _cell_rows(graph, cell, ordered, ordered)
+
+
+def _distinct(terms: Iterable[TermId]) -> tuple[TermId, ...]:
+    # a matrix's terms: duplicates collapse to their first occurrence
+    ordered = tuple(dict.fromkeys(terms))
     if not ordered:
         raise EmptyTermList()
-    return SimilarityMatrix(tuple(ordered), tuple(sim_rows(graph, params, ordered, ordered)))
+    return ordered
 
 
 def nearest_terms(

@@ -14,7 +14,8 @@ import sys
 import pytest
 
 import ontosim.cli
-from ontosim import SimilarityMatrix, SimilarityParams, catalog_terms, sim_rm, sim_rm_directed
+from ontosim import SimilarityMatrix, SimilarityParams, catalog_terms, pairwise_matrix, sim_rm, sim_rm_directed
+from ontosim import similarity
 from ontosim.cli import EXIT_CODES, build_arg_parser, main
 from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
@@ -51,6 +52,14 @@ def top_level_keys(json_text):
 
 def read_csv_rows(text):
     return list(csv.reader(line for line in io.StringIO(text) if not line.startswith("#")))
+
+
+def write_catalog(path, terms):
+    """A one-dataset catalog at ``path`` with one feature per term (None: unannotated)."""
+    features = [{"name": f"f{i}", "term": term} for i, term in enumerate(terms)]
+    dataset = {"id": "D", "name": "", "origin": [], "category": "EHR", "features": features}
+    path.write_text(json.dumps({"ontology_version": "x", "datasets": [dataset]}), encoding="utf-8")
+    return str(path)
 
 
 def subcommands(parser):
@@ -254,6 +263,67 @@ class TestMatrix:
         )
         assert code == 4
         assert "ghost1" in err and "ghost2" in err
+
+    @pytest.mark.parametrize("terms, expected", [(["a", "ghost", "b"], 4), ([None], 5)], ids=["unknown-term", "no-terms"])
+    @pytest.mark.parametrize("options", [[], ["--distance"], ["--format", "json"]], ids=["csv", "distance", "json"])
+    def test_failing_call_writes_nothing(self, capsys, tmp_path, terms, expected, options):
+        # every id is resolved before the output is opened, so --out keeps its bytes and stdout stays empty
+        inputs = ["--ontology-edges", TOY_EDGES_PATH, "--catalog", write_catalog(tmp_path / "cat.json", terms), *options]
+        target = tmp_path / "matrix.csv"
+        target.write_bytes(b"previous\r\ncontents")
+        for out in (["--out", str(target)], []):
+            code, stdout, err = run(capsys, "matrix", *inputs, *out)
+            assert (code, stdout) == (expected, "")
+            assert err.startswith("error: ")
+            assert target.read_bytes() == b"previous\r\ncontents"
+
+
+class TestStreamedMatrixCsv:
+    """The CLI streams its matrix CSV from the kernel's cells; the bytes must
+    be what the library's SimilarityMatrix.to_csv writes."""
+
+    @staticmethod
+    def library_csv(graph, params, terms, distance):
+        matrix = pairwise_matrix(graph, params, terms)
+        kind = "distance" if distance else "similarity"
+        metadata = {
+            "ontology_version": "x", "alpha": params.alpha, "beta": params.beta,
+            "symmetrization": params.symmetrization, "kind": kind,
+        }
+        buffer = io.StringIO()
+        (matrix.to_distance() if distance else matrix).to_csv(buffer, metadata)
+        return buffer.getvalue()
+
+    @staticmethod
+    def cli_csv(capsys, catalog, params, distance):
+        policy = "mean" if params.symmetrization == "mean-of-directions" else "as-printed"
+        code, out, err = run(
+            capsys, "matrix", "--ontology-edges", HC_EDGES_PATH, "--catalog", catalog, "--ontology-version", "x",
+            "--alpha", str(params.alpha), "--beta", str(params.beta), "--symmetrize", policy,
+            *(["--distance"] if distance else []),
+        )
+        assert (code, err) == (0, "")
+        return out
+
+    @pytest.mark.parametrize("distance", [False, True], ids=["similarity", "distance"])
+    @pytest.mark.parametrize("policy", ["mean-of-directions", "as-printed"])
+    @pytest.mark.parametrize("alpha, beta", [(7.9, 3.9), (2.0, 0.0), (0.0, 0.0), (1e-6, 1e6)])
+    @pytest.mark.parametrize("block_rows", [None, 50], ids=["blocks-real", "blocks-50"])
+    def test_healthcare_terms(self, capsys, monkeypatch, healthcare_graph, healthcare_catalog, distance, policy, alpha, beta, block_rows):
+        params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
+        # the library's matrix at the real block size; the CLI's, with 216 rows, in one block or five
+        expected = self.library_csv(healthcare_graph, params, catalog_terms(healthcare_catalog), distance)
+        if block_rows is not None:
+            monkeypatch.setattr(similarity, "BLOCK_ROWS", block_rows)
+        assert self.cli_csv(capsys, HC_CATALOG_PATH, params, distance) == expected
+
+    @pytest.mark.parametrize("distance", [False, True], ids=["similarity", "distance"])
+    @pytest.mark.parametrize("policy", ["mean-of-directions", "as-printed"])
+    def test_one_term_catalog(self, capsys, tmp_path, healthcare_graph, healthcare_catalog, distance, policy):
+        params = SimilarityParams(symmetrization=policy)
+        term = catalog_terms(healthcare_catalog)[17]
+        expected = self.library_csv(healthcare_graph, params, [term], distance)
+        assert self.cli_csv(capsys, write_catalog(tmp_path / "cat.json", [term]), params, distance) == expected
 
 
 class TestDoss:
@@ -590,10 +660,16 @@ class TestPinnedOutput:
             (["matrix", "--format", "json"], "fe702c75fb9ff04fac0adcce086e78b723bcfc642b55d3255f5b8a28d9adc8bd"),
             (["doss-matrix", "--agg", "median"], "7fefc90915dfbc9d9635611f118392b0d033261fe7d914af3b1c5d6878645559"),
             (["doss-matrix", "--agg", "min"], "32e011dae8f39932fdf1680d570528a0e60b7b91af0fa246d1d17b43839ce3cf"),
+            (
+                ["matrix", "--distance", "--symmetrize", "as-printed"],
+                "b3d1534d7d20067b0b9ff0956d650824f6dde86e93e1014f2ae66bbd87f1db85",
+            ),
+            (["matrix", "--alpha", "0", "--beta", "0"], "7b2ec299b1d12dc675cb34ef720c9a23e0df038f938f776a04969700bc2716bf"),
         ],
         ids=[
             "matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed", "doss-verbose", "doss-json",
             "matrix-distance", "matrix-json", "doss-matrix-median", "doss-matrix-min",
+            "matrix-distance-as-printed", "matrix-weights-0-0",
         ],
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
