@@ -15,7 +15,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 from . import matrixio
 from .catalog import AnnotationCatalog, catalog_terms, term_set
-from .errors import EmptyTermSet
+from .errors import EmptyTermList, EmptyTermSet
 from .ontology import OntologyGraph
 from .similarity import SYMMETRIZE_MEAN, SimilarityParams, sim_rows
 
@@ -140,7 +140,9 @@ def doss_matrix(
     aggregator: str = DEFAULT_AGGREGATOR,
 ) -> DossMatrix:
     """All ordered dataset pairs. Datasets without annotated terms are not
-    fatal here; they are left out and reported in ``excluded``.
+    fatal here; they are left out and reported in ``excluded``. When no
+    dataset has an annotated term, EmptyTermList is raised, as by
+    :func:`pairwise_matrix` over the catalog's terms.
 
     The term matrix over the catalog's distinct terms is computed once; each
     cell aggregates the source terms' maxima over the reference's columns,
@@ -151,6 +153,8 @@ def doss_matrix(
     h = get_aggregator(aggregator)
     scored = [ds for ds in catalog.datasets if ds.terms]
     all_terms = catalog_terms(catalog)
+    if not all_terms:
+        raise EmptyTermList()
 
     position = {term: i for i, term in enumerate(all_terms)}
     term_matrix = sim_rows(graph, params, all_terms, all_terms)

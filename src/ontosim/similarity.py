@@ -42,8 +42,8 @@ MIN_WEIGHT, MAX_WEIGHT = 1e-6, 1e6
 # rows scored together by sim_rows: its packed vectors hold one block's
 # row-closure nodes times the columns, however many rows there are
 BLOCK_ROWS = 256
-# array typecode of a sim_rows field (2 * width bits), by width
-_FIELD_CODE = {8: "H", 16: "I", 32: "Q"}
+# array typecode of a sim_rows field, by its width in bits
+_FIELD_CODE = {8: "B", 16: "H", 32: "I"}
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,16 @@ class SimilarityParams:
 
 
 class _Memo(dict):
-    """The values of one theta1, keyed by a packed cell ``theta2 << width |
-    psi``; a cell's triple is passed to ``value`` on its first lookup."""
+    """The values of one (theta1, theta2) pair, keyed by psi; a cell's
+    triple is passed to ``value`` on its first lookup."""
 
-    __slots__ = ("value", "theta1", "width")
+    __slots__ = ("value", "theta1", "theta2")
 
-    def __init__(self, value, theta1: int, width: int):
-        self.value, self.theta1, self.width = value, theta1, width
+    def __init__(self, value, theta1: int, theta2: int):
+        self.value, self.theta1, self.theta2 = value, theta1, theta2
 
-    def __missing__(self, cell: int):
-        theta2, psi = divmod(cell, 1 << self.width)
-        result = self[cell] = self.value(self.theta1, theta2, psi)
+    def __missing__(self, psi: int):
+        result = self[psi] = self.value(self.theta1, self.theta2, psi)
         return result
 
 
@@ -99,19 +98,21 @@ def sim_rows(
     configured policy: one tuple per row, in column order.
 
     Each term's closure is read once, and every cell of a row comes from one
-    integer sum. Column j owns the 2 * width bits from bit 2 * width * j,
-    where width is the narrowest of 8, 16 or 32 bits above the call's
-    largest theta. Rows are walked in blocks of BLOCK_ROWS; each node u of a
-    block's row closures gets an integer ``packed[u]`` with a 1 in the field
-    of every column whose closure holds u. A row's sum of ``packed[u]`` over
-    its closure, plus the columns' thetas in the high halves of their fields,
-    reads ``theta2 << width | psi`` in every field; theta2 and psi are below
-    2 ** width, so no field carries into the next. A score depends on
-    nothing but the (theta1, theta2, psi) triple, so each distinct triple is
-    scored once per call by ``params.score`` and its score reused for every
-    pair that shares it. The same walk gives the CLI's matrix CSV its cell
-    texts (:func:`matrix_csv_rows`). UnknownTerm names every unknown id
-    once, rows first.
+    integer sum. Column j owns the width bits from bit width * j, where
+    width is the narrowest of 8, 16 or 32 bits above the rows' largest
+    theta. Rows are walked in blocks of BLOCK_ROWS; each node u of a block's
+    row closures gets an integer ``packed[u]`` with a 1 in the field of every
+    column whose closure holds u. A row's sum of ``packed[u]`` over its
+    closure reads psi in every field; psi is at most theta1, below
+    2 ** width, so no field carries into the next. A column's theta2 is the
+    same in every row, so it is not packed: each distinct row theta gets,
+    once per call, one memo per column, shared by the columns of one theta2
+    and keyed by psi. A score depends on nothing but the (theta1, theta2,
+    psi) triple, so each distinct triple is scored once per call by
+    ``params.score`` and its score reused for every pair that shares it.
+    The same walk gives the CLI's matrix CSV its cell texts
+    (:func:`matrix_csv_rows`). UnknownTerm names every unknown id once,
+    rows first.
     """
     return [tuple(row) for row in _cell_rows(graph, params.score, rows, cols)]
 
@@ -128,13 +129,15 @@ def _cell_rows(graph: OntologyGraph, value, rows: Sequence[TermId], cols: Sequen
 def _walk(closures, count: int, value) -> Iterator[Iterator]:
     # the first count closures are the rows'
     row_closures, col_closures = closures[:count], closures[count:]
-    top = max(map(len, closures), default=0)
+    # psi is at most theta1, so the rows' largest theta sizes every field
+    top = max(map(len, row_closures), default=0)
     width = 8 if top < 1 << 8 else 16 if top < 1 << 16 else 32
     code = _FIELD_CODE[width]
-    size = len(col_closures) * width // 4
+    size = len(col_closures) * width // 8
     zeros = bytes(size)
-    base = int.from_bytes(array(code, map(len, col_closures)), sys.byteorder) << width
-    tables: dict[int, _Memo] = {}
+    col_thetas = [*map(len, col_closures)]
+    # each distinct row theta's memos, one per column, in column order
+    tables: dict[int, list[_Memo]] = {}
     for start in range(0, len(row_closures), BLOCK_ROWS):
         block = row_closures[start : start + BLOCK_ROWS]
         # psi counts only nodes of a row closure, so only they are packed;
@@ -152,11 +155,12 @@ def _walk(closures, count: int, value) -> Iterator[Iterator]:
                 fields[j] = 1
             packed[node] = int.from_bytes(fields, sys.byteorder)
         for closure in block:
-            table = tables.get(len(closure))
-            if table is None:
-                table = tables[len(closure)] = _Memo(value, len(closure), width)
-            cells = sum(map(packed.__getitem__, closure), base).to_bytes(size, sys.byteorder)
-            yield map(table.__getitem__, array(code, cells))
+            row = tables.get(len(closure))
+            if row is None:
+                memos = {theta2: _Memo(value, len(closure), theta2) for theta2 in set(col_thetas)}
+                row = tables[len(closure)] = [*map(memos.__getitem__, col_thetas)]
+            cells = sum(map(packed.__getitem__, closure)).to_bytes(size, sys.byteorder)
+            yield map(dict.__getitem__, row, array(code, cells))
 
 
 def sim_rm_directed(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 
 from ontosim.errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, EmptyInput, MalformedLine
@@ -64,6 +65,29 @@ def random_dag(rng: random.Random, max_nodes: int = 50) -> tuple[list[str], list
         for parent in rng.sample(range(i), k=min(i, rng.randint(0, 3))):
             edges.append((ids[i], ids[parent]))
     return ids, edges
+
+
+def write_deep_inputs(directory) -> tuple[str, str]:
+    """An edge list and a four-dataset catalog under ``directory``, both
+    seeded: a chain c0 <- c1 <- ... <- c299, so theta(c_i) is i + 1, with 40
+    terms b0, b1, ... each under one or two earlier terms. Some annotated
+    terms have a theta of 256 or more, others a few. Returns both paths."""
+    rng = random.Random(300)
+    ids = [f"c{i}" for i in range(300)]
+    edges = [(ids[i], ids[i - 1]) for i in range(1, len(ids))]
+    for i in range(40):
+        edges += [(f"b{i}", parent) for parent in rng.sample(ids, k=rng.randint(1, 2))]
+        ids.append(f"b{i}")
+    terms = {"1": ["c299", "c3", "b7"], "2": ["c280", "b39", "c12"], "3": rng.sample(ids, 5), "4": rng.sample(ids, 4)}
+    datasets = [
+        {"id": ds, "name": ds, "origin": [], "category": "EHR",
+         "features": [{"name": f"f{i}", "term": term} for i, term in enumerate(annotated)]}
+        for ds, annotated in terms.items()
+    ]
+    edge_path, catalog_path = directory / "deep_edges.tsv", directory / "deep_catalog.json"
+    edge_path.write_text("".join(f"{child}\t{parent}\n" for child, parent in edges), encoding="utf-8")
+    catalog_path.write_text(json.dumps({"ontology_version": "deep-1", "datasets": datasets}), encoding="utf-8")
+    return str(edge_path), str(catalog_path)
 
 
 def random_pairs(rng: random.Random, ids: list[str], count: int) -> list[tuple[str, str]]:

@@ -14,11 +14,22 @@ import sys
 import pytest
 
 import ontosim.cli
-from ontosim import SimilarityMatrix, SimilarityParams, catalog_terms, pairwise_matrix, sim_rm, sim_rm_directed
+from ontosim import (
+    SimilarityMatrix,
+    SimilarityParams,
+    build_ontology,
+    catalog_terms,
+    load_catalog,
+    pairwise_matrix,
+    parse_edge_list,
+    sim_rm,
+    sim_rm_directed,
+)
 from ontosim import similarity
 from ontosim.cli import EXIT_CODES, build_arg_parser, main
 from ontosim.matrixio import read_matrix_csv
 from conftest import FIXTURES, TOY_EDGES
+from helpers import write_deep_inputs
 
 TOY_EDGES_PATH = str(FIXTURES / "toy_edges.tsv")
 TOY_LABELS_PATH = str(FIXTURES / "toy_labels.tsv")
@@ -430,6 +441,13 @@ class TestDossMatrixCmd:
         assert (code, out) == expected[:2]
         assert err == "warning: line 20: skipped obsolete term X:900\n" + expected[2]
 
+    @pytest.mark.parametrize("options", [[], ["--format", "json"]], ids=["csv", "json"])
+    def test_no_scorable_dataset_exits_5_like_matrix(self, capsys, tmp_path, options):
+        inputs = ["--ontology-edges", TOY_EDGES_PATH, "--catalog", write_catalog(tmp_path / "cat.json", [None]), *options]
+        expected = run(capsys, "matrix", *inputs)
+        assert expected == (5, "", "error: term list is empty after deduplication\n")
+        assert run(capsys, "doss-matrix", *inputs) == expected
+
     def test_json_output(self, capsys):
         _, out, _ = run(
             capsys, "doss-matrix", "--ontology-edges", TOY_EDGES_PATH,
@@ -638,8 +656,9 @@ class TestSearch:
 
 
 class TestPinnedOutput:
-    """The healthcare matrices' and one DOSS pair's stdout, byte for byte: a
-    faster kernel, DOSS fold or writer must not move a single character."""
+    """The healthcare matrices' and one DOSS pair's stdout, and the deep
+    fixture's matrices, byte for byte: a faster kernel, DOSS fold or writer
+    must not move a single character."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -674,6 +693,28 @@ class TestPinnedOutput:
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv, "--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["matrix"], "f4c59bd94a65ca79d62b81d9ea13e925f49ca91a54a2a3e8c7415f072c32209d"),
+            (["matrix", "--symmetrize", "as-printed"], "40c45d71e82d2236016edb28b261333bff4c4e327d95075204eef9aa69c52511"),
+            (["doss-matrix"], "a7ed7a10e780b2910d11861dec048a432a6adb8d41f5a35a0feefd80ab72fccb"),
+            (["doss-matrix", "--symmetrize", "as-printed"], "0157ba0ddfc498feec255473496e4610b8f47a47f5d4a4a3361f9b14667d850e"),
+        ],
+        ids=["matrix", "matrix-as-printed", "doss-matrix", "doss-matrix-as-printed"],
+    )
+    def test_deep_stdout_sha256(self, capsys, tmp_path, argv, digest):
+        # the healthcare thetas stay below 16; here some rows' reach 300, so the kernel packs wider fields
+        edges, catalog = write_deep_inputs(tmp_path)
+        with open(edges, encoding="utf-8") as fh:
+            graph = build_ontology(*parse_edge_list(fh)[:2])
+        with open(catalog, encoding="utf-8") as fh:
+            thetas = sorted(map(graph.theta, catalog_terms(load_catalog(fh))))
+        assert thetas[0] < 16 and thetas[-1] >= 2 ** 8
+        code, out, err = run(capsys, *argv, "--ontology-edges", edges, "--catalog", catalog)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

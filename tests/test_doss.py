@@ -7,6 +7,7 @@ import pytest
 
 from ontosim import (
     AGGREGATORS,
+    EmptyTermList,
     EmptyTermSet,
     SimilarityMatrix,
     SimilarityParams,
@@ -175,6 +176,13 @@ class TestDossMatrix:
         catalog = make_catalog({"A": ["a", "b"], "B": ["b", "a"]})
         m = doss_matrix(toy_graph, default_params, catalog)
         assert m.values == ((1.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    def test_no_scorable_dataset_raises_empty_term_list(self, toy_graph, policy):
+        # every dataset would be excluded: no 0 x 0 matrix, the error of pairwise_matrix
+        catalog = make_catalog({"E1": [], "E2": []})
+        with pytest.raises(EmptyTermList):
+            doss_matrix(toy_graph, SimilarityParams(symmetrization=policy), catalog)
 
     def test_diagonal_and_exclusions(self, toy_graph, default_params, toy_catalog):
         m = doss_matrix(toy_graph, default_params, toy_catalog)

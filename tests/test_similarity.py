@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from array import array
 
 import pytest
 
@@ -335,6 +336,43 @@ class TestKernel:
         assert g.psi("a", "b") == depth
         for r, c in ((rows, cols), (cols, rows), (rows + cols, rows + cols)):
             assert sim_rows(g, params, r, c) == formula_rows(g, params, r, c)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_field_width_follows_the_rows(self, monkeypatch, policy):
+        # psi is at most theta1, so the rows' largest theta sizes the fields:
+        # shallow rows take 8 bits against columns whose theta2 reaches 2 ** 8
+        g = chain_graph(300)
+        params = SimilarityParams(alpha=2.5, beta=0.5, symmetrization=policy)
+        shallow, deep = ["c3", "s", "c40", "c254"], ["a", "b", "c299", "c255"]
+        assert max(map(g.theta, shallow)) < 2 ** 8 <= min(map(g.theta, deep))
+        codes = set()
+
+        def spy(code, *args):
+            codes.add(code)
+            return array(code, *args)
+
+        monkeypatch.setattr(similarity, "array", spy)
+        for rows, cols, width in ((shallow, deep, 8), (deep, shallow, 16)):
+            codes.clear()
+            assert sim_rows(g, params, rows, cols) == formula_rows(g, params, rows, cols)
+            assert codes == {similarity._FIELD_CODE[width]}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_each_distinct_triple_scored_once(self, healthcare_graph, healthcare_catalog, policy):
+        calls = []
+
+        class CountingParams(SimilarityParams):
+            def score(self, theta1, theta2, psi):
+                calls.append((theta1, theta2, psi))
+                return super().score(theta1, theta2, psi)
+
+        g, terms = healthcare_graph, catalog_terms(healthcare_catalog)
+        got = sim_rows(g, CountingParams(symmetrization=policy), terms, terms)
+        assert got == formula_rows(g, SimilarityParams(symmetrization=policy), terms, terms)
+        # 46,656 cells, 364 ordered triples
+        triples = {(g.theta(t1), g.theta(t2), g.psi(t1, t2)) for t1 in terms for t2 in terms}
+        assert len(calls) == len(triples) == 364
+        assert set(calls) == triples
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_rows_spanning_three_blocks(self, policy):
