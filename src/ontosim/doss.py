@@ -17,7 +17,7 @@ from . import matrixio
 from .catalog import AnnotationCatalog, catalog_terms, term_set
 from .errors import EmptyTermList, EmptyTermSet
 from .ontology import OntologyGraph
-from .similarity import SYMMETRIZE_MEAN, SimilarityParams, sim_rows
+from .similarity import SimilarityParams, best_scores, sim_rows
 
 AGGREGATORS: dict[str, Callable[[Sequence[float]], float]] = {
     "mean": statistics.fmean,
@@ -144,11 +144,14 @@ def doss_matrix(
     dataset has an annotated term, EmptyTermList is raised, as by
     :func:`pairwise_matrix` over the catalog's terms.
 
-    The term matrix over the catalog's distinct terms is computed once; each
-    cell aggregates the source terms' maxima over the reference's columns,
-    the same values :func:`doss` gives. Under mean-of-directions the term
-    matrix is its own transpose, bit for bit (float ``+`` commutes), so the
-    fold reads its rows as its columns; only as-printed is transposed.
+    Each cell aggregates the source terms' best scores against the
+    reference's terms, the same values :func:`doss` gives. The best scores
+    come from :func:`best_scores`' fold over the catalog's distinct terms,
+    one reference at a time: it keeps, per dataset and distinct theta of its
+    terms, the largest psi of every catalog term (about D x distinct-theta x
+    T fields for D datasets and T terms), and never builds the T x T term
+    matrix. The fold is exact because a score is non-decreasing in psi when
+    theta1 and theta2 are fixed, in float arithmetic too.
     """
     h = get_aggregator(aggregator)
     scored = [ds for ds in catalog.datasets if ds.terms]
@@ -157,16 +160,13 @@ def doss_matrix(
         raise EmptyTermList()
 
     position = {term: i for i, term in enumerate(all_terms)}
-    term_matrix = sim_rows(graph, params, all_terms, all_terms)
     indexes = [[position[t] for t in ds.terms] for ds in scored]
-    # best[j][s]: the best score of term s against reference j, taken once.
-    # columns[r][s] is term_matrix[s][r]; the first column is repeated so
-    # that a one-term reference still gives max two arguments.
-    columns = term_matrix if params.symmetrization == SYMMETRIZE_MEAN else list(zip(*term_matrix))
-    best = [list(map(max, columns[ref[0]], *[columns[r] for r in ref])) for ref in indexes]
-    values = tuple(
-        tuple(h([best_j[s] for s in source]) for best_j in best) for source in indexes
-    )
+    # one column per reference j, from best[s]: the best score of term s against j
+    columns = [
+        [h([best[s] for s in source]) for source in indexes]
+        for best in best_scores(graph, params, all_terms, indexes)
+    ]
+    values = tuple(zip(*columns))
     excluded = tuple(ds.id for ds in catalog.datasets if not ds.terms)
     return DossMatrix(tuple(ds.id for ds in scored), values, aggregator, params.symmetrization, excluded)
 

@@ -17,6 +17,8 @@ A weight is 0 or in [MIN_WEIGHT, MAX_WEIGHT] = [1e-6, 1e6]. Outside that
 range the float kernel cannot keep these bounds: a smaller positive weight
 can vanish beside theta and round a distinct pair's score to exactly 1, and
 a larger one can overflow the denominator and round the score to 0.
+For a fixed theta1 and theta2 the score, in float arithmetic too, never
+decreases as psi grows, since each step of it is a monotone float operation.
 The directed form is asymmetric whenever alpha != beta, so the user-facing
 measure defaults to averaging both directions; the raw directed form stays
 selectable as the "as-printed" policy.
@@ -39,11 +41,11 @@ SYMMETRIZE_MEAN = "mean-of-directions"
 SYMMETRIZATIONS = (SYMMETRIZE_AS_PRINTED, SYMMETRIZE_MEAN)
 # accepted range of a positive weight; see the module docstring
 MIN_WEIGHT, MAX_WEIGHT = 1e-6, 1e6
-# rows scored together by sim_rows: its packed vectors hold one block's
-# row-closure nodes times the columns, however many rows there are
+# rows packed together by sim_rows and best_scores: their packed vectors hold
+# one block's row-closure nodes times the columns, however many rows there are
 BLOCK_ROWS = 256
-# array typecode of a sim_rows field, by its width in bits
-_FIELD_CODE = {8: "B", 16: "H", 32: "I"}
+# array typecode of a packed psi field, by its width in bits
+_FIELD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -99,17 +101,18 @@ def sim_rows(
 
     Each term's closure is read once, and every cell of a row comes from one
     integer sum. Column j owns the width bits from bit width * j, where
-    width is the narrowest of 8, 16 or 32 bits above the rows' largest
-    theta. Rows are walked in blocks of BLOCK_ROWS; each node u of a block's
-    row closures gets an integer ``packed[u]`` with a 1 in the field of every
-    column whose closure holds u. A row's sum of ``packed[u]`` over its
-    closure reads psi in every field; psi is at most theta1, below
-    2 ** width, so no field carries into the next. A column's theta2 is the
-    same in every row, so it is not packed: each distinct row theta gets,
-    once per call, one memo per column, shared by the columns of one theta2
-    and keyed by psi. A score depends on nothing but the (theta1, theta2,
-    psi) triple, so each distinct triple is scored once per call by
-    ``params.score`` and its score reused for every pair that shares it.
+    width is the narrowest of 8, 16, 32 or 64 bits that holds the rows'
+    largest theta below its high bit. Rows are walked in blocks of
+    BLOCK_ROWS; each node u of a block's row closures gets an integer
+    ``packed[u]`` with a 1 in the field of every column whose closure holds
+    u. A row's sum of ``packed[u]`` over its closure reads psi in every
+    field; psi is at most theta1, below 2 ** (width - 1), so no field
+    carries into the next. A column's theta2 is the same in every row, so it
+    is not packed: each distinct row theta gets, once per call, one memo per
+    column, shared by the columns of one theta2 and keyed by psi. A score
+    depends on nothing but the (theta1, theta2, psi) triple, so each
+    distinct triple is scored once per call by ``params.score`` and its
+    score reused for every pair that shares it.
     The same walk gives the CLI's matrix CSV its cell texts
     (:func:`matrix_csv_rows`). UnknownTerm names every unknown id once,
     rows first.
@@ -129,15 +132,32 @@ def _cell_rows(graph: OntologyGraph, value, rows: Sequence[TermId], cols: Sequen
 def _walk(closures, count: int, value) -> Iterator[Iterator]:
     # the first count closures are the rows'
     row_closures, col_closures = closures[:count], closures[count:]
-    # psi is at most theta1, so the rows' largest theta sizes every field
-    top = max(map(len, row_closures), default=0)
-    width = 8 if top < 1 << 8 else 16 if top < 1 << 16 else 32
-    code = _FIELD_CODE[width]
-    size = len(col_closures) * width // 8
-    zeros = bytes(size)
+    width = _field_width(row_closures)
+    code, size = _FIELD_CODE[width], len(col_closures) * width // 8
     col_thetas = [*map(len, col_closures)]
     # each distinct row theta's memos, one per column, in column order
     tables: dict[int, list[_Memo]] = {}
+    for closure, cells in zip(row_closures, _psi_sums(row_closures, col_closures, width)):
+        row = tables.get(len(closure))
+        if row is None:
+            memos = {theta2: _Memo(value, len(closure), theta2) for theta2 in set(col_thetas)}
+            row = tables[len(closure)] = [*map(memos.__getitem__, col_thetas)]
+        yield map(dict.__getitem__, row, array(code, cells.to_bytes(size, sys.byteorder)))
+
+
+def _field_width(row_closures) -> int:
+    """Bits per packed psi field: the narrowest of 8, 16, 32 or 64 whose
+    high bit stays clear, since psi is at most the rows' largest theta; the
+    spare bit is what :func:`best_scores`' SWAR max borrows from."""
+    top = max(map(len, row_closures), default=0)
+    return next(width for width in _FIELD_CODE if top < 1 << (width - 1))
+
+
+def _psi_sums(row_closures, col_closures, width: int) -> Iterator[int]:
+    """One integer per row closure, in order, whose field j (the width bits
+    from bit width * j) holds psi of that row and column j."""
+    code = _FIELD_CODE[width]
+    zeros = bytes(len(col_closures) * width // 8)
     for start in range(0, len(row_closures), BLOCK_ROWS):
         block = row_closures[start : start + BLOCK_ROWS]
         # psi counts only nodes of a row closure, so only they are packed;
@@ -155,12 +175,65 @@ def _walk(closures, count: int, value) -> Iterator[Iterator]:
                 fields[j] = 1
             packed[node] = int.from_bytes(fields, sys.byteorder)
         for closure in block:
-            row = tables.get(len(closure))
+            yield sum(map(packed.__getitem__, closure))
+
+
+def best_scores(
+    graph: OntologyGraph,
+    params: SimilarityParams,
+    terms: Sequence[TermId],
+    references: Sequence[Sequence[int]],
+) -> Iterator[list[float]]:
+    """For each reference, a non-empty list of terms given as positions in
+    ``terms``, the best score under the policy of every term of ``terms``
+    towards any of the reference's terms: ``best[s] = max(sim_rows(graph,
+    params, terms, terms)[s][r] for r in reference)``, bit for bit, without
+    the term matrix. A generator: ids are resolved when the first list is
+    read, and each reference is scored as it is read.
+
+    Each term r's closure is walked once by the kernel's packing, as a row
+    against every term as a column, giving one integer whose field s holds
+    psi(s, r). A score is non-decreasing in psi for a fixed theta1 and
+    theta2 (module docstring), so the best over a reference's terms of one
+    theta2 is the score of their largest psi. Each reference therefore
+    keeps, per distinct theta2 of its terms, one integer of per-field
+    maxima, folded with a SWAR max (a per-field max from a few
+    whole-integer operations; :func:`_field_width` leaves each field a
+    clear high bit for it). That is about D x distinct-theta x T fields for
+    D references and T terms, never T x T. Each maximum is scored through
+    the per-(theta1, theta2) psi memos, so each distinct triple is scored
+    once per call.
+    """
+    closures = graph.closures(terms)
+    width = _field_width(closures)
+    code, size, shift = _FIELD_CODE[width], len(closures) * width // 8, width - 1
+    high = int.from_bytes(array(code, [1 << shift]) * len(closures), sys.byteorder)
+    holders: list[list[int]] = [[] for _ in closures]
+    for j, reference in enumerate(references):
+        for r in reference:
+            holders[r].append(j)
+    thetas = [*map(len, closures)]
+    # maxima[j][theta2]: the per-field maxima of psi over j's terms of that theta
+    maxima: list[dict[int, int]] = [{} for _ in references]
+    for theta2, psis, held_by in zip(thetas, _psi_sums(closures, closures, width), holders):
+        for j in held_by:
+            other = maxima[j].get(theta2, 0)
+            # the high bit of each field of (psis | high) - other stays set
+            # exactly where psis >= other; the mask keeps those fields
+            ge = ((psis | high) - other) & high
+            maxima[j][theta2] = other ^ ((psis ^ other) & (ge - (ge >> shift)))
+    # each distinct theta2's memos, one per term, in term order
+    tables: dict[int, list[_Memo]] = {}
+    for groups in maxima:
+        scored = []
+        for theta2, fields in groups.items():
+            row = tables.get(theta2)
             if row is None:
-                memos = {theta2: _Memo(value, len(closure), theta2) for theta2 in set(col_thetas)}
-                row = tables[len(closure)] = [*map(memos.__getitem__, col_thetas)]
-            cells = sum(map(packed.__getitem__, closure)).to_bytes(size, sys.byteorder)
-            yield map(dict.__getitem__, row, array(code, cells))
+                memos = {theta1: _Memo(params.score, theta1, theta2) for theta1 in set(thetas)}
+                row = tables[theta2] = [*map(memos.__getitem__, thetas)]
+            scored.append([*map(dict.__getitem__, row, array(code, fields.to_bytes(size, sys.byteorder)))])
+        # the first group is repeated so that max always gets two arguments
+        yield [*map(max, scored[0], *scored)]
 
 
 def sim_rm_directed(graph: OntologyGraph, params: SimilarityParams, t1: TermId, t2: TermId) -> float:

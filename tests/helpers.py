@@ -21,7 +21,7 @@ import random
 
 from ontosim.errors import CycleDetected, DanglingEdgeEndpoint, DuplicateTermId, EmptyInput, MalformedLine
 from ontosim.ingest import ParseReport
-from ontosim.ontology import OntologyGraph
+from ontosim.ontology import OntologyGraph, build_ontology
 
 
 class DfsOracle:
@@ -65,6 +65,17 @@ def random_dag(rng: random.Random, max_nodes: int = 50) -> tuple[list[str], list
         for parent in rng.sample(range(i), k=min(i, rng.randint(0, 3))):
             edges.append((ids[i], ids[parent]))
     return ids, edges
+
+
+def chain_graph(depth):
+    """A chain c0 <- c1 <- ... of ``depth`` terms, so theta(c_i) is i + 1,
+    with a fork hung on it: a and b under the last chain term, b also under
+    x, and x under the middle term; s hangs near the root."""
+    last, middle = f"c{depth - 1}", f"c{depth // 2}"
+    ids = [f"c{i}" for i in range(depth)] + ["a", "b", "x", "s"]
+    edges = [(f"c{i}", f"c{i - 1}") for i in range(1, depth)]
+    edges += [("a", last), ("b", last), ("b", "x"), ("x", middle), ("s", "c3")]
+    return build_ontology(ids, edges)
 
 
 def write_deep_inputs(directory) -> tuple[str, str]:

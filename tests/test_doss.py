@@ -15,15 +15,17 @@ from ontosim import (
     UnknownTerm,
     build_ontology,
     catalog_from_dict,
+    catalog_terms,
     doss,
     doss_matrix,
     shared_term_count,
     sim_rm,
     term_set,
 )
+from ontosim import similarity
 from ontosim.matrixio import read_matrix_csv
 from conftest import DOSS_TOY
-from helpers import random_dag, reference_csv
+from helpers import chain_graph, random_dag, reference_csv
 
 
 def make_catalog(term_sets: dict[str, list[str]]):
@@ -237,6 +239,64 @@ class TestDossMatrix:
             )
             assert m.values == expected
             assert m.values[0] == m.values[2]
+
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    @pytest.mark.parametrize("alpha, beta", [(2, 0), (0, 2), (0, 0), (1e-6, 1e6)])
+    def test_fold_across_blocks_equals_per_cell_doss(self, policy, alpha, beta):
+        # a seeded multi-parent DAG, and a catalog of more distinct terms than
+        # two of the kernel's blocks, so the fold's walk spans three
+        rng = random.Random(2604)
+        ids = [f"n{i:03d}" for i in range(700)]
+        edges = [
+            (ids[i], ids[parent])
+            for i in range(1, len(ids))
+            for parent in rng.sample(range(i), k=min(i, rng.randint(1, 3)))
+        ]
+        g = build_ontology(ids, edges)
+        shuffled = rng.sample(ids, len(ids))
+        # 11 disjoint slices, each with two terms drawn again, some from other slices
+        term_sets = {f"D{k}": shuffled[46 * k : 46 * k + 46] + rng.sample(ids, 2) for k in range(11)}
+        term_sets["ONE"] = [rng.choice(ids)]
+        catalog = make_catalog(term_sets)
+        assert len(catalog_terms(catalog)) > 2 * similarity.BLOCK_ROWS
+        calls = []
+
+        class CountingParams(SimilarityParams):
+            def score(self, theta1, theta2, psi):
+                calls.append((theta1, theta2, psi))
+                return super().score(theta1, theta2, psi)
+
+        params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
+        for aggregator in AGGREGATORS:
+            calls.clear()
+            m = doss_matrix(g, CountingParams(alpha=alpha, beta=beta, symmetrization=policy), catalog, aggregator)
+            # no (theta1, theta2, psi) triple is scored twice in one call
+            assert calls and len(calls) == len(set(calls))
+            expected = tuple(
+                tuple(doss(g, params, catalog, src, ref, aggregator).value for ref in m.dataset_ids)
+                for src in m.dataset_ids
+            )
+            assert m.values == expected
+
+    @pytest.mark.parametrize("policy", ["as-printed", "mean-of-directions"])
+    @pytest.mark.parametrize("deepest, top, width", [("c126", 127, 8), ("c127", 128, 16)])
+    def test_fold_at_the_field_width_boundary(self, policy, deepest, top, width):
+        # the catalog's largest theta is 127, then 128: one high bit of each
+        # field is kept clear for the fold, so the fields widen at 128
+        g = chain_graph(200)
+        catalog = make_catalog(
+            {"P": [deepest, "c120", "s"], "Q": ["c100", deepest, "c90"], "R": ["c125", "c4", "x"], "S": ["c101"]}
+        )
+        assert max(map(g.theta, catalog_terms(catalog))) == top
+        assert similarity._field_width(g.closures(catalog_terms(catalog))) == width
+        params = SimilarityParams(alpha=2.5, beta=0.5, symmetrization=policy)
+        for aggregator in AGGREGATORS:
+            m = doss_matrix(g, params, catalog, aggregator)
+            expected = tuple(
+                tuple(doss(g, params, catalog, src, ref, aggregator).value for ref in m.dataset_ids)
+                for src in m.dataset_ids
+            )
+            assert m.values == expected
 
     def test_csv_with_awkward_dataset_ids(self, toy_graph, default_params):
         catalog = make_catalog({"D,1": ["a", "b"], 'D"2': ["c"], "plain": ["r"]})

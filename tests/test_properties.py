@@ -102,6 +102,18 @@ def test_sim_bounds_and_exact_one(case, p):
         assert (value == 1.0) == ((p.alpha == 0.0 or t1_above) and (p.beta == 0.0 or t2_above))
 
 
+thetas = st.integers(1, 300) | st.integers(1, 2**31)
+
+
+@fast
+@given(params, thetas, thetas, st.data())
+def test_score_is_non_decreasing_in_psi(p, theta1, theta2, data):
+    # doss_matrix folds each reference's largest psi per theta2 and scores
+    # only that, which is exact because of this, in float arithmetic too
+    psi = data.draw(st.integers(0, min(theta1, theta2) - 1) | st.just(min(theta1, theta2) - 1))
+    assert p.score(theta1, theta2, psi) <= p.score(theta1, theta2, psi + 1)
+
+
 @fast
 @given(graph_and_pair(), weights, weights)
 def test_mean_of_directions_is_symmetric(case, alpha, beta):

@@ -8,6 +8,7 @@ from array import array
 import pytest
 
 from ontosim import (
+    AGGREGATORS,
     EmptyTermList,
     SimilarityMatrix,
     SimilarityParams,
@@ -34,7 +35,7 @@ from conftest import (
     TOY_EDGES,
     TOY_TERMS,
 )
-from helpers import DfsOracle, random_dag, random_pairs, reference_csv
+from helpers import DfsOracle, chain_graph, random_dag, random_pairs, reference_csv
 
 POLICIES = ["as-printed", "mean-of-directions"]
 
@@ -51,17 +52,6 @@ def formula_rows(graph, params, rows, cols):
     if params.symmetrization == "as-printed":
         return [tuple(directed(t1, t2) for t2 in cols) for t1 in rows]
     return [tuple((directed(t1, t2) + directed(t2, t1)) / 2.0 for t2 in cols) for t1 in rows]
-
-
-def chain_graph(depth):
-    """A chain c0 <- c1 <- ... of ``depth`` terms, so theta(c_i) is i + 1,
-    with a fork hung on it: a and b under the last chain term, b also under
-    x, and x under the middle term; s hangs near the root."""
-    last, middle = f"c{depth - 1}", f"c{depth // 2}"
-    ids = [f"c{i}" for i in range(depth)] + ["a", "b", "x", "s"]
-    edges = [(f"c{i}", f"c{i - 1}") for i in range(1, depth)]
-    edges += [("a", last), ("b", last), ("b", "x"), ("x", middle), ("s", "c3")]
-    return build_ontology(ids, edges)
 
 
 class TestDirectedForm:
@@ -339,12 +329,15 @@ class TestKernel:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_field_width_follows_the_rows(self, monkeypatch, policy):
-        # psi is at most theta1, so the rows' largest theta sizes the fields:
-        # shallow rows take 8 bits against columns whose theta2 reaches 2 ** 8
+        # psi is at most theta1, so the rows' largest theta sizes the fields,
+        # with one high bit kept clear: rows up to theta 127 take 8 bits, even
+        # against columns whose theta2 reaches 2 ** 7, and rows that reach
+        # theta 128 take 16
         g = chain_graph(300)
         params = SimilarityParams(alpha=2.5, beta=0.5, symmetrization=policy)
-        shallow, deep = ["c3", "s", "c40", "c254"], ["a", "b", "c299", "c255"]
-        assert max(map(g.theta, shallow)) < 2 ** 8 <= min(map(g.theta, deep))
+        shallow, deep = ["c3", "s", "c40", "c126"], ["c127", "c100", "s", "c64"]
+        assert max(map(g.theta, shallow)) == 2 ** 7 - 1
+        assert max(map(g.theta, deep)) == 2 ** 7
         codes = set()
 
         def spy(code, *args):
@@ -401,11 +394,18 @@ class TestKernel:
         terms = catalog_terms(catalog)
         for rows, cols in ((terms, terms), (terms, terms[::-1][:30])):
             assert sim_rows(g, params, rows, cols) == formula_rows(g, params, rows, cols)
-        m = doss_matrix(g, params, catalog)
-        expected = tuple(
-            tuple(doss(g, params, catalog, src, ref).value for ref in m.dataset_ids) for src in m.dataset_ids
-        )
-        assert m.values == expected
+        for aggregator in AGGREGATORS:
+            m = doss_matrix(g, params, catalog, aggregator)
+            expected = tuple(
+                tuple(doss(g, params, catalog, src, ref, aggregator).value for ref in m.dataset_ids)
+                for src in m.dataset_ids
+            )
+            assert m.values == expected
+
+    @pytest.mark.parametrize("width", similarity._FIELD_CODE)
+    def test_field_codes_are_as_wide_as_their_fields(self, width):
+        # the sizes of "I" and "Q" are the platform's; the packing assumes these
+        assert array(similarity._FIELD_CODE[width]).itemsize * 8 == width
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_empty_rows_or_columns(self, toy_graph, policy):
