@@ -50,15 +50,9 @@ from .errors import (
     UnknownTerm,
 )
 from .ingest import LabelTable, ParseReport, parse_edge_list, parse_labels, parse_obo_subset
-from .matrixio import csv_line, write_matrix_rows
+from .matrixio import cell_text, csv_line, write_matrix_json, write_matrix_rows
 from .ontology import OntologyGraph, build_ontology
-from .similarity import (
-    SYMMETRIZE_AS_PRINTED,
-    SYMMETRIZE_MEAN,
-    SimilarityParams,
-    matrix_csv_rows,
-    pairwise_matrix,
-)
+from .similarity import SYMMETRIZE_AS_PRINTED, SYMMETRIZE_MEAN, SimilarityParams, matrix_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 64
@@ -261,21 +255,27 @@ def _params(args) -> SimilarityParams:
 
 
 def _version(args, catalog: AnnotationCatalog | None = None) -> str:
-    if args.ontology_version:
+    if args.ontology_version is not None:
         return args.ontology_version
     if catalog is not None:
         return catalog.ontology_version
     return "unspecified"
 
 
+def _output(path: str | None):
+    """A command's output stream, for a ``with``: the file at ``path``, or
+    stdout when ``path`` is None or '-'."""
+    to_file = path is not None and path != "-"
+    return open(path, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout)
+
+
 def _write(fmt: str, path: str | None, payload, write) -> None:
-    """One command's output to ``path`` (stdout when None or '-'): the JSON of
+    """One command's output to :func:`_output` of ``path``: the JSON of
     ``payload()`` for format 'json', else what ``write(fh)`` writes.
 
     ``payload`` is called only for JSON, so a CSV or text call builds no JSON.
     """
-    to_file = path is not None and path != "-"
-    with open(path, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
+    with _output(path) as fh:
         if fmt == "json":
             json.dump(payload(), fh, indent=2)
             fh.write("\n")
@@ -320,24 +320,16 @@ def _stamp(args, catalog: AnnotationCatalog, params: SimilarityParams, **extra) 
     }
 
 
-def _write_matrix(args, matrix, metadata: dict) -> None:
-    # keys the JSON payload already has keep their position
-    _write(args.format, args.out, lambda: {**matrix.to_json_dict(), **metadata}, lambda fh: matrix.to_csv(fh, metadata))
-
-
 def cmd_matrix(args) -> int:
     graph, _, _ = _load_graph(args)
     catalog = _read(args.catalog, load_catalog)
     params = _params(args)
-    terms = catalog_terms(catalog)
     stamp = _stamp(args, catalog, params, kind="distance" if args.distance else "similarity")
-    if args.format == "json":
-        matrix = pairwise_matrix(graph, params, terms)
-        _write_matrix(args, matrix.to_distance() if args.distance else matrix, stamp)
-    else:
-        # every id is resolved before the output is opened; the rows are scored as they are written
-        labels, rows = matrix_csv_rows(graph, params, terms, args.distance)
-        _write(args.format, args.out, None, lambda fh: write_matrix_rows(fh, labels, rows, stamp))
+    text, write = (repr, write_matrix_json) if args.format == "json" else (cell_text, write_matrix_rows)
+    # every id is resolved before the output is opened; the rows are scored as they are written
+    labels, rows = matrix_rows(graph, params, catalog_terms(catalog), args.distance, text)
+    with _output(args.out) as fh:
+        write(fh, labels, rows, stamp)
     return EXIT_OK
 
 
@@ -369,7 +361,9 @@ def cmd_doss_matrix(args) -> int:
     matrix = doss_matrix(graph, params, catalog, args.agg)
     for dataset_id in matrix.excluded:
         print(f"excluded (no annotated terms): {dataset_id}", file=sys.stderr)
-    _write_matrix(args, matrix, _stamp(args, catalog, params, aggregator=matrix.aggregator))
+    stamp = _stamp(args, catalog, params, aggregator=matrix.aggregator)
+    # keys the JSON payload already has keep their position
+    _write(args.format, args.out, lambda: {**matrix.to_json_dict(), **stamp}, lambda fh: matrix.to_csv(fh, stamp))
     return EXIT_OK
 
 

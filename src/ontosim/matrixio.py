@@ -1,27 +1,32 @@
-"""CSV helpers for labelled square matrices.
+"""CSV and JSON writers for labelled square matrices.
 
-Layout: optional ``# key: value`` metadata lines, then a header row whose
-first cell is empty and remaining cells are the labels, then one row per
-label with fixed-precision cells. ``\\n`` line endings are forced so output
-bytes are platform-independent.
+CSV layout: optional ``# key: value`` metadata lines, then a header row
+whose first cell is empty and remaining cells are the labels, then one row
+per label with fixed-precision cells. ``\\n`` line endings are forced so
+output bytes are platform-independent.
 
 :func:`write_matrix_csv` formats each distinct value on its first lookup,
 in row-major order, and reuses its text for every later cell that holds it
 (0.0 and -0.0 count as one value, printed as whichever comes first; no
 score is -0.0). :func:`write_matrix_rows` writes rows whose cells are
-already text, each as it is read: the CLI's ``matrix`` CSV streams them
-from the term kernel (``similarity.matrix_csv_rows``), which formats each
-distinct score once, so no float matrix is held. Both quote a label only if
-it holds a character that csv would quote (a comma, a quote or a line
-break, ``\\r`` included), with :func:`csv_line`, so such a label reads back
-as itself; so does one with a leading ``#``, since only the lines before
-the header are read as metadata.
+already text, each as it is read. Both quote a label only if it holds a
+character that csv would quote (a comma, a quote or a line break, ``\\r``
+included), with :func:`csv_line`, so such a label reads back as itself; so
+does one with a leading ``#``, since only the lines before the header are
+read as metadata.
+
+:func:`write_matrix_json` writes the bytes of ``json.dump(..., indent=2)``
+for a matrix, from rows whose cells are already ``json``'s text, each row
+as it is read. The CLI's ``matrix`` streams both formats from the term
+kernel (``similarity.matrix_rows``), which makes each distinct score's text
+once (``cell_text`` for CSV, ``repr`` for JSON), so no float matrix is held.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from itertools import dropwhile
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -56,6 +61,23 @@ def write_matrix_rows(
         # the label's cell with the comma after it, then the row's cells
         cell = f"{label}," if _QUOTED.isdisjoint(label) else csv_line((label, ""))[:-1]
         stream.write(f"{cell}{','.join(row)}\n")
+
+
+def write_matrix_json(
+    stream: IO[str], labels: Sequence[str], rows: Iterable[Iterable[str]], metadata: Mapping[str, object]
+) -> None:
+    """What ``json.dump({"terms": labels, "values": values, **metadata},
+    stream, indent=2)`` and a final ``\\n`` write, for a ``metadata`` with
+    neither of those two keys, where ``rows`` holds the text that ``json``
+    gives each cell of ``values``: each row is written as it is read."""
+    item, cell = ",\n    ", ",\n      "
+    stream.write(f'{{\n  "terms": [\n    {item.join(map(json.dumps, labels))}\n  ],\n  "values": [')
+    for i, row in enumerate(rows):
+        stream.write(f"{',' if i else ''}\n    [\n      {cell.join(row)}\n    ]")
+    stream.write("\n  ]")
+    for key, value in metadata.items():
+        stream.write(f",\n  {json.dumps(key)}: {json.dumps(value)}")
+    stream.write("\n}\n")
 
 
 def cell_text(value: float) -> str:

@@ -30,7 +30,7 @@ import heapq
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import matrixio
 from .errors import EmptyTermList, UnknownTerm
@@ -113,9 +113,10 @@ def sim_rows(
     depends on nothing but the (theta1, theta2, psi) triple, so each
     distinct triple is scored once per call by ``params.score`` and its
     score reused for every pair that shares it.
-    The same walk gives the CLI's matrix CSV its cell texts
-    (:func:`matrix_csv_rows`). UnknownTerm names every unknown id once,
-    rows first.
+    The same walk gives the CLI's matrix CSV and JSON their cell texts
+    (:func:`matrix_rows`), and the same row scorer turns
+    :func:`best_scores`' packed maxima into scores. UnknownTerm names every
+    unknown id once, rows first.
     """
     return [tuple(row) for row in _cell_rows(graph, params.score, rows, cols)]
 
@@ -126,23 +127,29 @@ def _cell_rows(graph: OntologyGraph, value, rows: Sequence[TermId], cols: Sequen
     once per distinct triple. Every id is resolved here, when this returns:
     a generator's body would not run until the first row is read."""
     closures = graph.closures([*rows, *cols])
-    return _walk(closures, len(rows), value)
-
-
-def _walk(closures, count: int, value) -> Iterator[Iterator]:
-    # the first count closures are the rows'
-    row_closures, col_closures = closures[:count], closures[count:]
+    row_closures, col_closures = closures[: len(rows)], closures[len(rows) :]
     width = _field_width(row_closures)
-    code, size = _FIELD_CODE[width], len(col_closures) * width // 8
-    col_thetas = [*map(len, col_closures)]
-    # each distinct row theta's memos, one per column, in column order
+    values = _row_values(value, [*map(len, col_closures)], width)
+    return map(values, map(len, row_closures), _psi_sums(row_closures, col_closures, width))
+
+
+def _row_values(value, thetas: Sequence[int], width: int):
+    """The function that turns a theta and a packed integer of psi fields,
+    field j for ``thetas[j]``, into an iterator over ``value(theta,
+    thetas[j], psi)`` in field order. Each distinct theta gets, on first use,
+    one memo per field, shared by the fields of one ``thetas`` value and
+    keyed by psi, so ``value`` is called once per distinct triple."""
+    code, size = _FIELD_CODE[width], len(thetas) * width // 8
     tables: dict[int, list[_Memo]] = {}
-    for closure, cells in zip(row_closures, _psi_sums(row_closures, col_closures, width)):
-        row = tables.get(len(closure))
+
+    def values(theta: int, packed: int) -> Iterator:
+        row = tables.get(theta)
         if row is None:
-            memos = {theta2: _Memo(value, len(closure), theta2) for theta2 in set(col_thetas)}
-            row = tables[len(closure)] = [*map(memos.__getitem__, col_thetas)]
-        yield map(dict.__getitem__, row, array(code, cells.to_bytes(size, sys.byteorder)))
+            memos = {other: _Memo(value, theta, other) for other in set(thetas)}
+            row = tables[theta] = [*map(memos.__getitem__, thetas)]
+        return map(dict.__getitem__, row, array(code, packed.to_bytes(size, sys.byteorder)))
+
+    return values
 
 
 def _field_width(row_closures) -> int:
@@ -201,13 +208,14 @@ def best_scores(
     whole-integer operations; :func:`_field_width` leaves each field a
     clear high bit for it). That is about D x distinct-theta x T fields for
     D references and T terms, never T x T. Each maximum is scored through
-    the per-(theta1, theta2) psi memos, so each distinct triple is scored
-    once per call.
+    the kernel's own row scorer, as :func:`sim_rows` scores its cells, with
+    the reference's theta2 in the row's place: its per-(theta1, theta2) psi
+    memos score each distinct triple once per call.
     """
     closures = graph.closures(terms)
     width = _field_width(closures)
-    code, size, shift = _FIELD_CODE[width], len(closures) * width // 8, width - 1
-    high = int.from_bytes(array(code, [1 << shift]) * len(closures), sys.byteorder)
+    shift = width - 1
+    high = int.from_bytes(array(_FIELD_CODE[width], [1 << shift]) * len(closures), sys.byteorder)
     holders: list[list[int]] = [[] for _ in closures]
     for j, reference in enumerate(references):
         for r in reference:
@@ -222,16 +230,10 @@ def best_scores(
             # exactly where psis >= other; the mask keeps those fields
             ge = ((psis | high) - other) & high
             maxima[j][theta2] = other ^ ((psis ^ other) & (ge - (ge >> shift)))
-    # each distinct theta2's memos, one per term, in term order
-    tables: dict[int, list[_Memo]] = {}
+    # a reference's theta2 keys the memo tables, so it comes first to the scorer
+    values = _row_values(lambda theta2, theta1, psi: params.score(theta1, theta2, psi), thetas, width)
     for groups in maxima:
-        scored = []
-        for theta2, fields in groups.items():
-            row = tables.get(theta2)
-            if row is None:
-                memos = {theta1: _Memo(params.score, theta1, theta2) for theta1 in set(thetas)}
-                row = tables[theta2] = [*map(memos.__getitem__, thetas)]
-            scored.append([*map(dict.__getitem__, row, array(code, fields.to_bytes(size, sys.byteorder)))])
+        scored = [[*values(theta2, fields)] for theta2, fields in groups.items()]
         # the first group is repeated so that max always gets two arguments
         yield [*map(max, scored[0], *scored)]
 
@@ -287,24 +289,25 @@ def pairwise_matrix(graph: OntologyGraph, params: SimilarityParams, terms: Itera
     return SimilarityMatrix(ordered, tuple(sim_rows(graph, params, ordered, ordered)))
 
 
-def matrix_csv_rows(
-    graph: OntologyGraph, params: SimilarityParams, terms: Iterable[TermId], distance: bool
+def matrix_rows(
+    graph: OntologyGraph, params: SimilarityParams, terms: Iterable[TermId], distance: bool, text: Callable[[float], str]
 ) -> tuple[tuple[TermId, ...], Iterator[Iterator[str]]]:
     """The labels and rows of ``pairwise_matrix(graph, params, terms)``, or
     of its ``to_distance()`` when ``distance`` is true, with every cell as
-    the text that ``to_csv`` writes for it; feed them to
-    :func:`matrixio.write_matrix_rows`.
+    ``text(value)``. With :func:`matrixio.cell_text` the cells are the text
+    that ``to_csv`` writes, for :func:`matrixio.write_matrix_rows`; with
+    ``repr`` they are ``json``'s text of each float, for
+    :func:`matrixio.write_matrix_json`.
 
     Every id is resolved, and UnknownTerm or EmptyTermList raised, before
     this returns; the rows are scored as they are read, one block of
-    BLOCK_ROWS at a time, and each distinct triple is scored and formatted
-    once.
+    BLOCK_ROWS at a time, and each distinct triple is scored and its text
+    made once.
     """
     ordered = _distinct(terms)
-    score, text = params.score, matrixio.cell_text
 
     def cell(theta1: int, theta2: int, psi: int) -> str:
-        value = score(theta1, theta2, psi)
+        value = params.score(theta1, theta2, psi)
         return text(_distance_of(value) if distance else value)
 
     return ordered, _cell_rows(graph, cell, ordered, ordered)

@@ -289,52 +289,77 @@ class TestMatrix:
             assert target.read_bytes() == b"previous\r\ncontents"
 
 
+# (--distance, --format) of a matrix call; only the JSON cases' ids name the format
+OUTPUTS = [(False, "csv"), (True, "csv"), (False, "json"), (True, "json")]
+OUTPUT_IDS = ["similarity", "distance", "similarity-json", "distance-json"]
+
+
 class TestStreamedMatrixCsv:
-    """The CLI streams its matrix CSV from the kernel's cells; the bytes must
-    be what the library's SimilarityMatrix.to_csv writes."""
+    """The CLI streams its matrix CSV and JSON from the kernel's cells; the
+    bytes must be what the library's SimilarityMatrix.to_csv writes, and what
+    json.dumps gives for its to_json_dict with the metadata."""
 
     @staticmethod
-    def library_csv(graph, params, terms, distance):
+    def library_output(graph, params, terms, distance, fmt):
         matrix = pairwise_matrix(graph, params, terms)
-        kind = "distance" if distance else "similarity"
+        if distance:
+            matrix = matrix.to_distance()
         metadata = {
             "ontology_version": "x", "alpha": params.alpha, "beta": params.beta,
-            "symmetrization": params.symmetrization, "kind": kind,
+            "symmetrization": params.symmetrization, "kind": "distance" if distance else "similarity",
         }
+        if fmt == "json":
+            return json.dumps({**matrix.to_json_dict(), **metadata}, indent=2) + "\n"
         buffer = io.StringIO()
-        (matrix.to_distance() if distance else matrix).to_csv(buffer, metadata)
+        matrix.to_csv(buffer, metadata)
         return buffer.getvalue()
 
     @staticmethod
-    def cli_csv(capsys, catalog, params, distance):
+    def cli_output(capsys, catalog, params, distance, fmt, edges=HC_EDGES_PATH):
         policy = "mean" if params.symmetrization == "mean-of-directions" else "as-printed"
         code, out, err = run(
-            capsys, "matrix", "--ontology-edges", HC_EDGES_PATH, "--catalog", catalog, "--ontology-version", "x",
-            "--alpha", str(params.alpha), "--beta", str(params.beta), "--symmetrize", policy,
+            capsys, "matrix", "--ontology-edges", edges, "--catalog", catalog, "--ontology-version", "x",
+            "--alpha", str(params.alpha), "--beta", str(params.beta), "--symmetrize", policy, "--format", fmt,
             *(["--distance"] if distance else []),
         )
         assert (code, err) == (0, "")
         return out
 
-    @pytest.mark.parametrize("distance", [False, True], ids=["similarity", "distance"])
+    @pytest.mark.parametrize("distance, fmt", OUTPUTS, ids=OUTPUT_IDS)
     @pytest.mark.parametrize("policy", ["mean-of-directions", "as-printed"])
     @pytest.mark.parametrize("alpha, beta", [(7.9, 3.9), (2.0, 0.0), (0.0, 0.0), (1e-6, 1e6)])
     @pytest.mark.parametrize("block_rows", [None, 50], ids=["blocks-real", "blocks-50"])
-    def test_healthcare_terms(self, capsys, monkeypatch, healthcare_graph, healthcare_catalog, distance, policy, alpha, beta, block_rows):
+    def test_healthcare_terms(
+        self, capsys, monkeypatch, healthcare_graph, healthcare_catalog, distance, policy, alpha, beta, block_rows, fmt
+    ):
         params = SimilarityParams(alpha=alpha, beta=beta, symmetrization=policy)
         # the library's matrix at the real block size; the CLI's, with 216 rows, in one block or five
-        expected = self.library_csv(healthcare_graph, params, catalog_terms(healthcare_catalog), distance)
+        expected = self.library_output(healthcare_graph, params, catalog_terms(healthcare_catalog), distance, fmt)
         if block_rows is not None:
             monkeypatch.setattr(similarity, "BLOCK_ROWS", block_rows)
-        assert self.cli_csv(capsys, HC_CATALOG_PATH, params, distance) == expected
+        assert self.cli_output(capsys, HC_CATALOG_PATH, params, distance, fmt) == expected
 
-    @pytest.mark.parametrize("distance", [False, True], ids=["similarity", "distance"])
+    @pytest.mark.parametrize("distance, fmt", OUTPUTS, ids=OUTPUT_IDS)
     @pytest.mark.parametrize("policy", ["mean-of-directions", "as-printed"])
-    def test_one_term_catalog(self, capsys, tmp_path, healthcare_graph, healthcare_catalog, distance, policy):
+    def test_one_term_catalog(self, capsys, tmp_path, healthcare_graph, healthcare_catalog, distance, policy, fmt):
         params = SimilarityParams(symmetrization=policy)
         term = catalog_terms(healthcare_catalog)[17]
-        expected = self.library_csv(healthcare_graph, params, [term], distance)
-        assert self.cli_csv(capsys, write_catalog(tmp_path / "cat.json", [term]), params, distance) == expected
+        expected = self.library_output(healthcare_graph, params, [term], distance, fmt)
+        assert self.cli_output(capsys, write_catalog(tmp_path / "cat.json", [term]), params, distance, fmt) == expected
+
+    @pytest.mark.parametrize("distance, fmt", OUTPUTS, ids=OUTPUT_IDS)
+    def test_ids_that_need_quoting_or_escaping(self, capsys, tmp_path, distance, fmt):
+        # non-ASCII, a quote, a backslash and a comma: csv quotes some, json escapes all but the comma
+        edges = [("caf\u00e9", "r"), ('say "hi"', "caf\u00e9"), ("back\\slash", "r"), ("a,b", 'say "hi"'), ("\u65e5\u672c", "a,b")]
+        path = tmp_path / "edges.tsv"
+        path.write_text("".join(f"{child}\t{parent}\n" for child, parent in edges), encoding="utf-8")
+        terms = [child for child, _ in edges]
+        graph = build_ontology(["r", *terms], edges)
+        params = SimilarityParams()
+        # the CLI's matrix holds the catalog's terms sorted ascending
+        expected = self.library_output(graph, params, sorted(terms), distance, fmt)
+        got = self.cli_output(capsys, write_catalog(tmp_path / "cat.json", terms), params, distance, fmt, str(path))
+        assert got == expected
 
 
 class TestDoss:
@@ -684,11 +709,19 @@ class TestPinnedOutput:
                 "b3d1534d7d20067b0b9ff0956d650824f6dde86e93e1014f2ae66bbd87f1db85",
             ),
             (["matrix", "--alpha", "0", "--beta", "0"], "7b2ec299b1d12dc675cb34ef720c9a23e0df038f938f776a04969700bc2716bf"),
+            (
+                ["matrix", "--format", "json", "--distance"],
+                "c8b6a664c5eff28170777ca0564ea8f01ae88ab60e790b82562514b913d67f4a",
+            ),
+            (
+                ["matrix", "--format", "json", "--symmetrize", "as-printed"],
+                "994b6715a1b5a05c34a1ea3c1a31456d2576b4b54c9dc3455d2f32ba7a69d68c",
+            ),
         ],
         ids=[
             "matrix", "doss-matrix", "matrix-as-printed-2-0.5", "doss-matrix-as-printed", "doss-verbose", "doss-json",
             "matrix-distance", "matrix-json", "doss-matrix-median", "doss-matrix-min",
-            "matrix-distance-as-printed", "matrix-weights-0-0",
+            "matrix-distance-as-printed", "matrix-weights-0-0", "matrix-json-distance", "matrix-json-as-printed",
         ],
     )
     def test_healthcare_stdout_sha256(self, capsys, argv, digest):
@@ -937,6 +970,23 @@ class TestOntologyVersionEcho:
             "--ontology-version", "release-7",
         )
         assert "# ontology_version: release-7" in out
+
+    @pytest.mark.parametrize("options", [[], ["--format", "json"]], ids=["csv", "json"])
+    def test_empty_flag_is_recorded_as_given(self, capsys, options):
+        code, out, _ = run(
+            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
+            "--ontology-version", "", *options,
+        )
+        assert code == 0
+        if options:
+            assert json.loads(out)["ontology_version"] == ""
+        else:
+            assert out.startswith("# ontology_version: \n")
+
+    def test_empty_flag_is_recorded_by_term_sim(self, capsys):
+        code, out, _ = run(capsys, "term-sim", "a", "b", "--ontology-edges", TOY_EDGES_PATH, "--ontology-version", "")
+        assert code == 0
+        assert out.startswith("# ontology_version: \n")
 
     def test_flag_with_a_line_break_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
