@@ -18,8 +18,8 @@ The outputs of term-sim, matrix, doss, doss-matrix, stats and terms carry
 the ontology version string: as ``# ontology_version`` comment lines in CSV
 and text output, as a top-level key in JSON. The scoring commands (term-sim,
 matrix, doss, doss-matrix) take it from --ontology-version when given,
-otherwise from the catalog (term-sim: 'unspecified'); stats and terms take
-it from the catalog.
+otherwise from the catalog, and term-sim, which reads no catalog, records
+'unspecified'; stats and terms take it from the catalog.
 """
 
 from __future__ import annotations
@@ -217,10 +217,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     args = _arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (OntosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+    return EXIT_OK
 
 
 def _print_warnings(report: ParseReport) -> None:
@@ -254,12 +255,25 @@ def _params(args) -> SimilarityParams:
     return SimilarityParams(alpha=args.alpha, beta=args.beta, symmetrization=policy)
 
 
-def _version(args, catalog: AnnotationCatalog | None = None) -> str:
-    if args.ontology_version is not None:
-        return args.ontology_version
-    if catalog is not None:
-        return catalog.ontology_version
-    return "unspecified"
+def _catalog_inputs(args) -> tuple[OntologyGraph, AnnotationCatalog, SimilarityParams]:
+    """A catalog command's graph, catalog and weights, read in that order."""
+    graph, _, _ = _load_graph(args)
+    return graph, _read(args.catalog, load_catalog), _params(args)
+
+
+def _stamp(args, catalog: AnnotationCatalog | None, params: SimilarityParams, **extra) -> dict:
+    """What a scoring output records, in output order: the version is
+    --ontology-version when given, else the catalog's, else 'unspecified'."""
+    version = args.ontology_version
+    if version is None:
+        version = "unspecified" if catalog is None else catalog.ontology_version
+    return {
+        "ontology_version": version,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "symmetrization": params.symmetrization,
+        **extra,
+    }
 
 
 def _output(path: str | None):
@@ -283,64 +297,48 @@ def _write(fmt: str, path: str | None, payload, write) -> None:
             write(fh)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     graph, _, report = _load_graph(args)
     print(f"{len(graph)} terms, {graph.edge_count} edges")
     if report.ignored_relation_count:
         print(f"{report.ignored_relation_count} non-taxonomic relation(s) ignored")
-    return EXIT_OK
 
 
-def cmd_term_sim(args) -> int:
+def cmd_term_sim(args) -> None:
     graph, _, _ = _load_graph(args)
     params = _params(args)
+    stamp = _stamp(args, None, params)
     t1, t2 = args.term1, args.term2
     # psi resolves both ids in one call, so UnknownTerm names both; the thetas are then memo hits
     psi = graph.psi(t1, t2)
     theta1, theta2 = graph.theta(t1), graph.theta(t2)
-    print(f"# ontology_version: {_version(args)}")
-    print(f"# alpha: {params.alpha}  beta: {params.beta}")
+    print(f"# ontology_version: {stamp['ontology_version']}")
+    print(f"# alpha: {stamp['alpha']}  beta: {stamp['beta']}")
     print(f"theta({t1}) = {theta1}")
     print(f"theta({t2}) = {theta2}")
     print(f"psi({t1},{t2}) = {psi}")
     print(f"sim({t1}->{t2}) = {params.directed(theta1, theta2, psi):.6f}")
     print(f"sim({t2}->{t1}) = {params.directed(theta2, theta1, psi):.6f}")
     print(f"sim[{params.symmetrization}] = {params.score(theta1, theta2, psi):.6f}")
-    return EXIT_OK
 
 
-def _stamp(args, catalog: AnnotationCatalog, params: SimilarityParams, **extra) -> dict:
-    """What every scoring output records, in output order."""
-    return {
-        "ontology_version": _version(args, catalog),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "symmetrization": params.symmetrization,
-        **extra,
-    }
-
-
-def cmd_matrix(args) -> int:
-    graph, _, _ = _load_graph(args)
-    catalog = _read(args.catalog, load_catalog)
-    params = _params(args)
+def cmd_matrix(args) -> None:
+    graph, catalog, params = _catalog_inputs(args)
     stamp = _stamp(args, catalog, params, kind="distance" if args.distance else "similarity")
     text, write = (repr, write_matrix_json) if args.format == "json" else (cell_text, write_matrix_rows)
     # every id is resolved before the output is opened; the rows are scored as they are written
     labels, rows = matrix_rows(graph, params, catalog_terms(catalog), args.distance, text)
     with _output(args.out) as fh:
         write(fh, labels, rows, stamp)
-    return EXIT_OK
 
 
-def cmd_doss(args) -> int:
-    graph, _, _ = _load_graph(args)
-    catalog = _read(args.catalog, load_catalog)
-    params = _params(args)
+def cmd_doss(args) -> None:
+    graph, catalog, params = _catalog_inputs(args)
     result = doss(graph, params, catalog, args.dataset1, args.dataset2, args.agg)
+    stamp = _stamp(args, catalog, params, aggregator=result.aggregator)
 
     def write_text(fh) -> None:
-        fh.write(f"# ontology_version: {_version(args, catalog)}\n")
+        fh.write(f"# ontology_version: {stamp['ontology_version']}\n")
         fh.write(
             f"doss({result.source_id}|{result.reference_id}) = {result.value:.6f}"
             f"  [aggregator={result.aggregator}, symmetrization={result.symmetrization}]\n"
@@ -349,25 +347,20 @@ def cmd_doss(args) -> int:
             for match in result.best_matches:
                 fh.write(f"  {match.source_term} -> {match.best_term}  {match.similarity:.6f}\n")
 
-    stamp = _stamp(args, catalog, params, aggregator=result.aggregator)
     _write(args.format, None, lambda: {**result.to_json_dict(), **stamp}, write_text)  # doss has no --out
-    return EXIT_OK
 
 
-def cmd_doss_matrix(args) -> int:
-    graph, _, _ = _load_graph(args)
-    catalog = _read(args.catalog, load_catalog)
-    params = _params(args)
+def cmd_doss_matrix(args) -> None:
+    graph, catalog, params = _catalog_inputs(args)
     matrix = doss_matrix(graph, params, catalog, args.agg)
     for dataset_id in matrix.excluded:
         print(f"excluded (no annotated terms): {dataset_id}", file=sys.stderr)
     stamp = _stamp(args, catalog, params, aggregator=matrix.aggregator)
     # keys the JSON payload already has keep their position
     _write(args.format, args.out, lambda: {**matrix.to_json_dict(), **stamp}, lambda fh: matrix.to_csv(fh, stamp))
-    return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     catalog = _read(args.catalog, load_catalog)
     stats = coverage_stats(catalog)
     rows = list(zip(catalog.datasets, stats.per_dataset))
@@ -406,10 +399,9 @@ def cmd_stats(args) -> int:
         fh.write(f"# global_coverage: {stats.global_coverage_fraction:.6f}\n")
 
     _write(args.format, args.out, payload, write_csv)
-    return EXIT_OK
 
 
-def cmd_terms(args) -> int:
+def cmd_terms(args) -> None:
     catalog = _read(args.catalog, load_catalog)
     rows = term_frequency_report(catalog)
     if args.top is not None:
@@ -428,10 +420,9 @@ def cmd_terms(args) -> int:
         lambda: {"ontology_version": catalog.ontology_version, "terms": [dataclasses.asdict(row) for row in rows]},
         write_csv,
     )
-    return EXIT_OK
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> None:
     if args.ontology_obo is None:
         labels, report = _read(args.labels, parse_labels)
         _print_warnings(report)
@@ -440,7 +431,6 @@ def cmd_search(args) -> int:
         _, labels, _ = _load_graph(args)
     for match in search_labels(labels, args.query, args.top):
         print(f"{match.term}\t{match.label}\t{match.score:.6f}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

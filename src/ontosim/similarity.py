@@ -60,6 +60,9 @@ class SimilarityParams:
         # the range test also rejects nan, infinities and negative weights
         if not all(w == 0 or MIN_WEIGHT <= w <= MAX_WEIGHT for w in (self.alpha, self.beta)):
             raise ValueError(f"alpha and beta must be 0 or in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]")
+        # -0.0 passes as 0 and is falsy, so "or" stores it as 0.0: one stamp for every zero weight
+        object.__setattr__(self, "alpha", self.alpha or 0.0)
+        object.__setattr__(self, "beta", self.beta or 0.0)
         if self.symmetrization not in SYMMETRIZATIONS:
             raise ValueError(
                 f"symmetrization must be one of {SYMMETRIZATIONS}, got {self.symmetrization!r}"

@@ -963,30 +963,39 @@ class TestSharedParser:
         assert capsys.readouterr().out == ""
 
 
+# every writer that records the scoring stamp's version: its subcommand and
+# options past the ontology, and whether it writes JSON (else a leading comment line)
+VERSION_WRITERS = [
+    (["term-sim", "a", "b"], False),
+    (["matrix", "--catalog", TOY_CATALOG_PATH], False),
+    (["matrix", "--catalog", TOY_CATALOG_PATH, "--format", "json"], True),
+    (["doss", "D1", "D2", "--catalog", TOY_CATALOG_PATH], False),
+    (["doss", "D1", "D2", "--catalog", TOY_CATALOG_PATH, "--format", "json"], True),
+    (["doss-matrix", "--catalog", TOY_CATALOG_PATH], False),
+    (["doss-matrix", "--catalog", TOY_CATALOG_PATH, "--format", "json"], True),
+]
+VERSION_WRITER_IDS = ["term-sim", "matrix-csv", "matrix-json", "doss-text", "doss-json", "doss-matrix-csv", "doss-matrix-json"]
+
+
 class TestOntologyVersionEcho:
-    def test_flag_overrides_catalog(self, capsys):
-        _, out, _ = run(
-            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
-            "--ontology-version", "release-7",
-        )
-        assert "# ontology_version: release-7" in out
-
-    @pytest.mark.parametrize("options", [[], ["--format", "json"]], ids=["csv", "json"])
-    def test_empty_flag_is_recorded_as_given(self, capsys, options):
-        code, out, _ = run(
-            capsys, "matrix", "--ontology-edges", TOY_EDGES_PATH, "--catalog", TOY_CATALOG_PATH,
-            "--ontology-version", "", *options,
-        )
+    @staticmethod
+    def recorded_version(capsys, argv, is_json, version):
+        code, out, _ = run(capsys, *argv, "--ontology-edges", TOY_EDGES_PATH, "--ontology-version", version)
         assert code == 0
-        if options:
-            assert json.loads(out)["ontology_version"] == ""
-        else:
-            assert out.startswith("# ontology_version: \n")
+        if is_json:
+            return json.loads(out)["ontology_version"]
+        first, _, _ = out.partition("\n")
+        assert first.startswith("# ontology_version: ")
+        return first.removeprefix("# ontology_version: ")
 
-    def test_empty_flag_is_recorded_by_term_sim(self, capsys):
-        code, out, _ = run(capsys, "term-sim", "a", "b", "--ontology-edges", TOY_EDGES_PATH, "--ontology-version", "")
-        assert code == 0
-        assert out.startswith("# ontology_version: \n")
+    @pytest.mark.parametrize("argv, is_json", VERSION_WRITERS, ids=VERSION_WRITER_IDS)
+    def test_flag_overrides_catalog(self, capsys, argv, is_json):
+        # the toy catalog records "toy-1"; term-sim, with no catalog, would record "unspecified"
+        assert self.recorded_version(capsys, argv, is_json, "release-7") == "release-7"
+
+    @pytest.mark.parametrize("argv, is_json", VERSION_WRITERS, ids=VERSION_WRITER_IDS)
+    def test_empty_flag_is_recorded_as_given(self, capsys, argv, is_json):
+        assert self.recorded_version(capsys, argv, is_json, "") == ""
 
     def test_flag_with_a_line_break_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1009,6 +1018,28 @@ class TestOntologyVersionEcho:
         assert (code, out) == (1, "")
         assert err == "error: $.ontology_version: must not contain a line break\n"
 
+
+class TestNegativeZeroWeights:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["term-sim", "b", "c"],
+            ["matrix", "--catalog", TOY_CATALOG_PATH],
+            ["matrix", "--catalog", TOY_CATALOG_PATH, "--format", "json"],
+            ["doss", "D1", "D2", "--catalog", TOY_CATALOG_PATH, "--format", "json"],
+            ["doss-matrix", "--catalog", TOY_CATALOG_PATH],
+            ["doss-matrix", "--catalog", TOY_CATALOG_PATH, "--format", "json"],
+        ],
+        ids=["term-sim", "matrix-csv", "matrix-json", "doss-json", "doss-matrix-csv", "doss-matrix-json"],
+    )
+    def test_same_bytes_as_zero(self, capsys, argv):
+        # the scores of -0 and 0 are equal, so the recorded weights must be too
+        negative, positive = (
+            run(capsys, *argv, "--ontology-edges", TOY_EDGES_PATH, "--alpha", zero, "--beta", zero)
+            for zero in ("-0", "0")
+        )
+        assert negative[0] == 0
+        assert negative == positive
 
 
 class TestCsvQuoting:

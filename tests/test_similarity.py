@@ -96,6 +96,11 @@ class TestDirectedForm:
             for t2 in TOY_TERMS:
                 assert sim_rm_directed(toy_graph, params, t1, t2) == 1.0
 
+    def test_negative_zero_weights_are_stored_as_zero(self):
+        # outputs echo the stored weights, and -0.0 would print as "-0.0"
+        params = SimilarityParams(alpha=-0.0, beta=-0.0)
+        assert math.copysign(1, params.alpha) == math.copysign(1, params.beta) == 1
+
     def test_disjoint_components_stay_positive(self, default_params):
         # two roots, nothing shared: psi is 0 but the measure is still defined
         g = build_ontology(["r1", "x", "r2", "y"], [("x", "r1"), ("y", "r2")])
