@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import IO, AbstractSet, Union
+from itertools import repeat
+from typing import IO, AbstractSet, NamedTuple, Union
 
 from .errors import (
     DuplicateDatasetId,
@@ -36,8 +37,7 @@ CATEGORIES = ("Survey", "EHR")
 _FEATURE_KEYS = frozenset({"name", "term"})
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
+class FeatureRecord(NamedTuple):
     name: str
     term: str | None = None
 
@@ -138,7 +138,7 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
         features_raw = _array(item, "features", path)
         if not features_raw:
             raise SchemaViolation(f"{path}.features", "dataset must declare at least one feature")
-        features: list[FeatureRecord] = []
+        pairs: list[tuple[str, str | None]] = []
         seen_names: set[str] = set()
         for j, feat in enumerate(features_raw):
             # each check is a cheap test first; the path is formatted only on the way to a raise
@@ -159,10 +159,10 @@ def catalog_from_dict(payload: object) -> AnnotationCatalog:
                     f"feature name {fname!r} appears more than once in dataset {ds_id!r}",
                 )
             seen_names.add(fname)
-            features.append(FeatureRecord(fname, term))
-        datasets.append(
-            DatasetRecord(ds_id, name, tuple(origin_raw), category, tuple(features))
-        )
+            pairs.append((fname, term))
+        # one C-level pass builds the records: tuple.__new__ is what FeatureRecord._make calls
+        features = tuple(map(tuple.__new__, repeat(FeatureRecord), pairs))
+        datasets.append(DatasetRecord(ds_id, name, tuple(origin_raw), category, features))
     return AnnotationCatalog(version, tuple(datasets))
 
 
@@ -192,16 +192,14 @@ def _array(mapping: dict, key: str, path: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class DatasetCoverage:
+class DatasetCoverage(NamedTuple):
     dataset_id: str
     feature_count: int
     annotated_count: int
     coverage_fraction: float
 
 
-@dataclass(frozen=True)
-class CoverageStats:
+class CoverageStats(NamedTuple):
     per_dataset: tuple[DatasetCoverage, ...]
     distinct_feature_name_count: int
     distinct_term_count: int
@@ -232,8 +230,7 @@ def coverage_stats(catalog: AnnotationCatalog) -> CoverageStats:
     return CoverageStats(tuple(per), len(names), len(catalog_terms(catalog)), fraction)
 
 
-@dataclass(frozen=True)
-class TermUsage:
+class TermUsage(NamedTuple):
     term: str
     dataset_count: int
     unique_name_count: int
@@ -274,8 +271,7 @@ def catalog_terms(catalog: AnnotationCatalog) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(ds.terms for ds in catalog.datasets))))
 
 
-@dataclass(frozen=True)
-class LabelMatch:
+class LabelMatch(NamedTuple):
     term: str
     label: str
     score: float

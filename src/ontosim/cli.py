@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import sys
@@ -417,7 +416,7 @@ def cmd_terms(args) -> None:
         args.format,
         args.out,
         # TermUsage's fields are the JSON keys, in order
-        lambda: {"ontology_version": catalog.ontology_version, "terms": [dataclasses.asdict(row) for row in rows]},
+        lambda: {"ontology_version": catalog.ontology_version, "terms": [row._asdict() for row in rows]},
         write_csv,
     )
 

@@ -9,9 +9,8 @@ reverse direction is typically below 1.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Sequence
+from math import fsum
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from . import matrixio
 from .catalog import AnnotationCatalog, catalog_terms, term_set
@@ -19,9 +18,27 @@ from .errors import EmptyTermList, EmptyTermSet
 from .ontology import OntologyGraph
 from .similarity import SimilarityParams, best_scores, sim_rows
 
+
+def _mean(data: Sequence[float]) -> float:
+    """The float that ``statistics.fmean`` gives: the correctly rounded sum over the count."""
+    if not data:
+        raise ValueError("mean requires at least one value")
+    return fsum(data) / len(data)
+
+
+def _median(data: Sequence[float]) -> float:
+    """The float that ``statistics.median`` gives: the middle value, or the
+    mean of the two middle values."""
+    ordered = sorted(data)
+    if not ordered:
+        raise ValueError("median requires at least one value")
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
 AGGREGATORS: dict[str, Callable[[Sequence[float]], float]] = {
-    "mean": statistics.fmean,
-    "median": statistics.median,
+    "mean": _mean,
+    "median": _median,
     "min": min,
     "max": max,
 }
@@ -37,15 +54,13 @@ def get_aggregator(name: str) -> Callable[[Sequence[float]], float]:
         ) from None
 
 
-@dataclass(frozen=True)
-class BestMatch:
+class BestMatch(NamedTuple):
     source_term: str
     best_term: str
     similarity: float
 
 
-@dataclass(frozen=True)
-class DossResult:
+class DossResult(NamedTuple):
     value: float
     source_id: str
     reference_id: str
@@ -110,8 +125,7 @@ def doss(
     )
 
 
-@dataclass(frozen=True)
-class DossMatrix:
+class DossMatrix(NamedTuple):
     """Directional matrix: values[i][j] scores dataset i against reference j."""
 
     dataset_ids: tuple[str, ...]

@@ -30,7 +30,7 @@ import heapq
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import matrixio
 from .errors import EmptyTermList, UnknownTerm
@@ -260,8 +260,7 @@ def _distance_of(score: float) -> float:
     return 1.0 - score
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Square matrix of pairwise scores with term ids as row/column labels."""
 
     terms: tuple[TermId, ...]

@@ -2,6 +2,7 @@
 
 import io
 import random
+import statistics
 
 import pytest
 
@@ -78,6 +79,38 @@ class TestDossValue:
     def test_unknown_aggregator(self, toy_graph, default_params, toy_catalog):
         with pytest.raises(ValueError):
             doss(toy_graph, default_params, toy_catalog, "D1", "D2", "mode")
+
+
+class TestAggregators:
+    """mean and median are pinned, bit for bit, to the statistics functions
+    they replace."""
+
+    @staticmethod
+    def seeded_lists():
+        rng = random.Random(20261021)
+        lists = [[0.1] * 10, [0.7], [1.0, 1.0], [0.25, 0.5, 0.25], [0.3, 0.3, 0.3, 0.9]]
+        for length in range(1, 41):
+            for _ in range(5):
+                lists.append([rng.random() for _ in range(length)])
+                # few distinct values, so the middle ones tie
+                lists.append([rng.choice((0.1, 1 / 3, 0.5, 2 / 3, 1.0)) for _ in range(length)])
+                lists.append([rng.uniform(1e-12, 1.0) ** rng.randint(1, 40) for _ in range(length)])
+        return lists
+
+    def test_equal_to_statistics_bit_for_bit(self):
+        lists = self.seeded_lists()
+        assert {len(data) % 2 for data in lists} == {0, 1} and [0.7] in lists
+        # 0.1 ten times: fsum gives 1.0 where sum gives 0.9999999999999999
+        assert AGGREGATORS["mean"]([0.1] * 10) == 0.1
+        for data in lists:
+            for name, reference in (("mean", statistics.fmean), ("median", statistics.median)):
+                got, want = AGGREGATORS[name](list(data)), reference(list(data))
+                assert type(got) is float and got.hex() == want.hex(), (name, data)
+
+    @pytest.mark.parametrize("name", ["mean", "median", "min", "max"])
+    def test_empty_input_is_a_value_error(self, name):
+        with pytest.raises(ValueError):
+            AGGREGATORS[name]([])
 
 
 class TestDossErrors:
