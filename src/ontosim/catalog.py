@@ -100,11 +100,25 @@ def load_catalog(source: Union[str, IO[str]]) -> AnnotationCatalog:
     """Parse and validate catalog JSON from a file object or a string."""
     text = source if isinstance(source, str) else source.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: arrays or objects nested deeper than the decoder can follow
         raise SchemaViolation("$", f"invalid JSON: {exc}") from exc
     return catalog_from_dict(payload)
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises SchemaViolation rather
+    than letting the later value drop the earlier one."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                # the decoder passes no JSON path, so the key is located at the root
+                raise SchemaViolation("$", f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def catalog_from_dict(payload: object) -> AnnotationCatalog:

@@ -13,6 +13,8 @@ Subcommands:
 Exit codes: 0 success; 1 malformed input (ontology parse, catalog schema, or
 text that is not UTF-8); 2 cycle in the ontology; 3 I/O failure; 4 unknown
 term or dataset id; 5 dataset with no annotated terms; 64 command-line usage error.
+A reader that closes stdout early (``| head``) ends the call with 0 and
+nothing on stderr.
 
 The outputs of term-sim, matrix, doss, doss-matrix, stats and terms carry
 the ontology version string: as ``# ontology_version`` comment lines in CSV
@@ -28,6 +30,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .catalog import (
@@ -218,6 +221,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except (OntosimError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and getattr(args, "out", None) in (None, "-"):
+            # the reader closed stdout early (``| head``) and the bytes it took are
+            # correct: end quietly, with stdout on devnull so the flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
     return EXIT_OK

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import EmptyInput, MalformedLine, MalformedStanza, ParseError
 
@@ -34,14 +33,14 @@ from .errors import EmptyInput, MalformedLine, MalformedStanza, ParseError
 LabelTable = dict[str, tuple[str | None, tuple[str, ...]]]
 
 
-@dataclass
-class ParseReport:
-    """Counts of records actually emitted plus non-fatal warnings."""
+class ParseReport(NamedTuple):
+    """Counts of records actually emitted plus non-fatal warnings, built once
+    by the parser that returns it; ``warnings`` is that parser's own list."""
 
-    term_count: int = 0
-    edge_count: int = 0
-    ignored_relation_count: int = 0
-    warnings: list[tuple[int, str]] = field(default_factory=list)
+    term_count: int
+    edge_count: int
+    ignored_relation_count: int
+    warnings: list[tuple[int, str]]
 
 
 def parse_edge_list(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, str]], ParseReport]:
@@ -55,7 +54,6 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, st
     intern = terms.setdefault
     edges: list[tuple[str, str]] = []
     append = edges.append
-    report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         # an edge is exactly two fields, both non-empty once stripped, and the
         # first not a comment; strip() also drops the line ending, which only
@@ -75,9 +73,7 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, st
         raise MalformedLine(f"expected child<TAB>parent, got {line!r}", line=lineno)
     if not edges:
         raise EmptyInput("no edges found in edge-list input")
-    report.term_count = len(terms)
-    report.edge_count = len(edges)
-    return list(terms), edges, report
+    return list(terms), edges, ParseReport(len(terms), len(edges), 0, [])
 
 
 def write_edge_list(edges: Iterable[tuple[str, str]], stream: IO[str]) -> None:
@@ -120,7 +116,7 @@ def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
     recorded as a warning in the report.
     """
     labels: LabelTable = {}
-    report = ParseReport()
+    warnings: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         stripped = line.strip()
@@ -133,10 +129,9 @@ def parse_labels(lines: Iterable[str]) -> tuple[LabelTable, ParseReport]:
             raise MalformedLine("empty synonym field", line=lineno)
         term_id, label, *syns = fields
         if term_id in labels:
-            report.warnings.append((lineno, f"duplicate label entry for {term_id}; keeping the later one"))
+            warnings.append((lineno, f"duplicate label entry for {term_id}; keeping the later one"))
         labels[term_id] = (label, tuple(syns))
-    report.term_count = len(labels)
-    return labels, report
+    return labels, ParseReport(len(labels), 0, 0, warnings)
 
 
 # an id runs to an unescaped "!" or to whitespace before "{" or "!"; an escaped
@@ -176,7 +171,8 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
     ids: list[str] = []
     edges: list[tuple[str, str]] = []
     labels: LabelTable = {}
-    report = ParseReport()
+    warnings: list[tuple[int, str]] = []
+    ignored = 0  # relationship: lines
     referenced: dict[str, int] = {}
     skipped: set[str] = set()  # ids of obsolete stanzas
 
@@ -193,7 +189,7 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
                     raise MalformedStanza("[Term] stanza has no id:", line=start)
                 if obsolete:
                     skipped.add(term_id)
-                    report.warnings.append((start, f"skipped obsolete term {term_id}"))
+                    warnings.append((start, f"skipped obsolete term {term_id}"))
                 else:
                     ids.append(term_id)
                     if name or synonyms:
@@ -243,7 +239,7 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
         elif key == "is_obsolete":
             obsolete = value.lower() == "true"
         elif key == "relationship":
-            report.ignored_relation_count += 1
+            ignored += 1
         # every other OBO key is ignored
 
     declared = set(ids)
@@ -251,10 +247,8 @@ def parse_obo_subset(lines: Iterable[str]) -> tuple[list[str], list[tuple[str, s
         if target not in declared:
             ids.append(target)
             why = "is obsolete" if target in skipped else "referenced but not defined"
-            report.warnings.append((lineno, f"parent {target} {why}; added as bare term"))
+            warnings.append((lineno, f"parent {target} {why}; added as bare term"))
 
     if not ids:
         raise EmptyInput("no [Term] stanzas found")
-    report.term_count = len(ids)
-    report.edge_count = len(edges)
-    return ids, edges, labels, report
+    return ids, edges, labels, ParseReport(len(ids), len(edges), ignored, warnings)

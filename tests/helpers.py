@@ -124,7 +124,6 @@ def reference_parse_edge_list(lines):
     the one general path, and each edge holds its own strings."""
     terms = {}
     edges = []
-    report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         stripped = line.strip()
@@ -139,9 +138,7 @@ def reference_parse_edge_list(lines):
         edges.append((child, parent))
     if not edges:
         raise EmptyInput("no edges found in edge-list input")
-    report.term_count = len(terms)
-    report.edge_count = len(edges)
-    return list(terms), edges, report
+    return list(terms), edges, ParseReport(len(terms), len(edges), 0, [])
 
 
 def reference_build_ontology(terms, edges):

@@ -65,6 +65,13 @@ class TestLoadCatalog:
             with pytest.raises(SchemaViolation, match=r"^\$: invalid JSON: "):
                 load_catalog(text)
 
+    def test_repeated_key_is_rejected(self):
+        # a later "term" would otherwise replace the earlier one without a word
+        text = json.dumps(minimal()).replace('{"name": "age", "term": "T1"}', '{"name": "f", "term": "a", "term": "b"}')
+        with pytest.raises(SchemaViolation, match=r"^\$: repeated key 'term'$") as exc:
+            load_catalog(text)
+        assert exc.value.path == "$"
+
     def test_duplicate_dataset_id(self):
         ds = minimal()["datasets"][0]
         other = dict(ds, name="two")

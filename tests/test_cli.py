@@ -1123,3 +1123,72 @@ class TestInputEncoding:
         )
         assert (result.returncode, result.stdout) == (4, b"")
         assert result.stderr == "error: unknown dataset id: 'café'\n".encode("utf-8")
+
+
+class TestFreshProcess:
+    """Behaviour that only a fresh interpreter shows: the hash seed it drew,
+    and the flush of stdout at its exit."""
+
+    HC_INPUTS = ["--ontology-edges", HC_EDGES_PATH, "--catalog", HC_CATALOG_PATH]
+
+    @staticmethod
+    def command(*argv):
+        return [sys.executable, "-m", "ontosim.cli", *argv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", *HC_INPUTS],
+            ["matrix", "--format", "json", *HC_INPUTS],
+            ["doss-matrix", "--format", "json", *HC_INPUTS],
+            ["doss", "1", "2", "--verbose", "--agg", "median", *HC_INPUTS],
+            ["terms", "--format", "json", "--catalog", HC_CATALOG_PATH],
+        ],
+        ids=["matrix-csv", "matrix-json", "doss-matrix-json", "doss-verbose-median", "terms-json"],
+    )
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, argv):
+        # set and dict order reach the kernel and the reports; the bytes must not show it
+        outputs = [
+            subprocess.run(
+                self.command(*argv),
+                env={**TestSharedParser.fresh_env(), "PYTHONHASHSEED": seed}, capture_output=True, timeout=60,
+            )
+            for seed in ("0", "1")
+        ]
+        assert [(r.returncode, r.stderr) for r in outputs] == [(0, b""), (0, b"")]
+        assert outputs[0].stdout and outputs[0].stdout == outputs[1].stdout
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+    def test_reader_closing_stdout_early_ends_the_call_quietly(self, fmt):
+        # the healthcare matrix (about 424 KB) outgrows a 64 KiB pipe buffer, so the
+        # writes always meet the closed pipe, whatever the timing
+        proc = subprocess.Popen(
+            self.command("matrix", *fmt, *self.HC_INPUTS),
+            env=TestSharedParser.fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(os.read(proc.stdout.fileno(), 1)) == 1
+        proc.stdout.close()
+        with proc.stderr:
+            stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (0, b"")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_out_whose_reader_closes_early_is_an_io_failure(self, tmp_path):
+        # only stdout may be closed by its reader; a broken --out is still exit 3
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        # a non-blocking open returns at once, so a call that never opens --out cannot hang the test
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        proc = subprocess.Popen(
+            self.command("matrix", *self.HC_INPUTS, "--out", str(fifo)),
+            env=TestSharedParser.fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = b""
+        while not first and proc.poll() is None:
+            try:
+                first = os.read(reader, 1)  # b"" until the call opens the pipe
+            except BlockingIOError:  # opened, nothing written yet
+                pass
+        os.close(reader)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (len(first), proc.returncode, stdout, stderr) == (1, 3, b"", b"error: [Errno 32] Broken pipe\n")

@@ -7,14 +7,19 @@ weight, because there the float kernel cannot keep the bounds.
 
 import contextlib
 import io
+import json
+import os
 import random
+import tempfile
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ontosim import (
     EmptyInput,
     MalformedLine,
+    SchemaViolation,
     SimilarityParams,
     UnknownTerm,
     build_ontology,
@@ -22,6 +27,7 @@ from ontosim import (
     distance,
     doss,
     doss_matrix,
+    load_catalog,
     nearest_terms,
     pairwise_matrix,
     parse_edge_list,
@@ -328,3 +334,70 @@ def test_decorated_obo_parses_to_its_edge_list(case):
     assert (obo_ids, obo_edges) == (ids, edges)
     assert labels == {term: (None, (text,)) for term, text in synonyms.items()}
     assert obo_report.warnings == []
+
+
+# a placeholder key that the generated catalogs never hold, swapped in the text
+# for a second copy of one of its object's keys
+REPEAT = "\x00repeat"
+
+
+@st.composite
+def catalog_with_repeated_key(draw):
+    """(a valid catalog's JSON text over TOY_TERMS, the same text with one key
+    of one object written twice: the root, a dataset or a feature, before or
+    after the original, with the same value or another, and that key)."""
+    feature_terms = st.lists(st.sampled_from([*TOY_TERMS, None, "absent"]), min_size=1, max_size=3)
+    payload = {
+        "ontology_version": draw(st.sampled_from(("", "v1", "2024-01"))),
+        "datasets": [
+            {
+                "id": f"d{i}",
+                "name": draw(st.sampled_from(("", "one"))),
+                "origin": draw(st.lists(st.sampled_from(("x", "y")), max_size=2)),
+                "category": draw(st.sampled_from(("EHR", "Survey"))),
+                "features": [
+                    {"name": f"f{j}", "term": term} if term != "absent" else {"name": f"f{j}"}
+                    for j, term in enumerate(draw(feature_terms))
+                ],
+            }
+            for i in range(draw(st.integers(2, 3)))
+        ],
+    }
+    objects = [payload, *payload["datasets"], *(f for ds in payload["datasets"] for f in ds["features"])]
+    target = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(sorted(target)))
+    value = draw(st.sampled_from((target[key], None, "other", [])))
+    valid = json.dumps(payload)
+    items = list(target.items())
+    target.clear()
+    target.update([(REPEAT, None), *items] if draw(st.booleans()) else [*items, (REPEAT, None)])
+    text = json.dumps(payload).replace(json.dumps(REPEAT) + ": null", json.dumps(key) + ": " + json.dumps(value))
+    return valid, text, key
+
+
+@fast
+@given(catalog_with_repeated_key())
+def test_repeated_catalog_key_exits_1_before_any_output(case):
+    valid, text, key = case
+    assert load_catalog(valid).dataset_ids()
+    with pytest.raises(SchemaViolation, match=r"^\$: repeated key "):
+        load_catalog(text)
+    edges = str(FIXTURES / "toy_edges.tsv")
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog = os.path.join(tmp, "catalog.json")
+        with open(catalog, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        for argv in (
+            ["stats", "--out", out],
+            ["terms", "--out", out],
+            ["matrix", "--out", out, "--ontology-edges", edges],
+            ["doss", "d0", "d1", "--ontology-edges", edges],
+            ["doss-matrix", "--out", out, "--ontology-edges", edges],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--catalog", catalog])
+            assert (code, stdout.getvalue()) == (1, ""), argv
+            assert stderr.getvalue() == f"error: $: repeated key {key!r}\n"
+            assert not os.path.exists(out)

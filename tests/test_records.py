@@ -15,9 +15,12 @@ from ontosim import (
     DossResult,
     FeatureRecord,
     LabelMatch,
+    ParseReport,
     SimilarityMatrix,
     TermUsage,
     catalog_from_dict,
+    parse_edge_list,
+    parse_obo_subset,
 )
 from ontosim.cli import main
 from conftest import FIXTURES
@@ -199,3 +202,39 @@ def test_records_are_named_tuples(cls, fields, values, text):
     assert record == values and tuple(record) == values and record[0] == values[0]
     assert record._asdict() == dict(zip(fields, values))
     assert record._replace(**{fields[0]: "x"}) == cls("x", *values[1:])
+
+
+PARSE_REPORT_FIELDS = ("term_count", "edge_count", "ignored_relation_count", "warnings")
+
+
+def _edge_list_report():
+    return parse_edge_list(["b\ta\n", "c\ta\n"])[2]
+
+
+def test_parse_report_fields_in_order():
+    assert tuple(inspect.signature(ParseReport).parameters) == PARSE_REPORT_FIELDS
+
+
+def test_parse_report_repr_and_equality():
+    report = _edge_list_report()
+    assert repr(report) == "ParseReport(term_count=3, edge_count=2, ignored_relation_count=0, warnings=[])"
+    assert report == _edge_list_report() and report is not _edge_list_report()
+
+
+def test_parse_report_of_mini_obo():
+    with open(FIXTURES / "mini.obo", encoding="utf-8") as fh:
+        report = parse_obo_subset(fh)[3]
+    assert (report.term_count, report.edge_count, report.ignored_relation_count) == (3, 2, 1)
+    assert report.warnings == [(20, "skipped obsolete term X:900")]
+
+
+def test_parse_report_is_an_immutable_named_tuple():
+    report = _edge_list_report()
+    for name in PARSE_REPORT_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    term_count, edge_count, ignored_relation_count, warnings = report
+    assert (term_count, edge_count, ignored_relation_count, warnings) == (3, 2, 0, [])
+    assert ParseReport._fields == PARSE_REPORT_FIELDS
+    with pytest.raises(TypeError):
+        ParseReport()  # no defaults: every parser builds its report complete
